@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .exactfield import ONE, SQRT3, ZERO, FieldElem
 from .liealg import MVec, dphi, metric
-from .nkgeom import J, curvature
+from .nkgeom import J, curvature, curvature_components
 from .surfaces import generator
 
 _HALF = Fraction(1, 2)
@@ -164,15 +164,12 @@ def curvature_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
     """The curvature tensor in integers: (D, entries) where each entry
     (i, j, k, l, t) says R(eᵢ₊₁, eⱼ₊₁)eₖ₊₁ has eₗ₊₁ coefficient t/D.
 
-    Computed once from `curvature` on the 216 basis triples, which by
+    Read from `curvature_components` on the 216 basis triples, which by
     trilinearity determine the whole tensor.
     """
-    basis = [MVec.basis(i) for i in range(1, 7)]
     entries = []
-    for (i, x), (j, y), (k, z) in itertools.product(enumerate(basis), repeat=3):
-        for l, value in enumerate(curvature(x, y, z).coeffs):
-            if not value:
-                continue
+    for i, j, k in itertools.product(range(6), repeat=3):
+        for l, value in curvature_components(i, j, k):
             if not value.is_rational:
                 raise RuntimeError(f"R(e{i + 1}, e{j + 1})e{k + 1} has the "
                                    f"irrational e{l + 1} coefficient {value}")

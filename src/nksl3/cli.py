@@ -3,7 +3,8 @@
 Each suite runs a list of named checks.  Exact identities are exhaustive
 and ignore the seed; numeric sweeps draw from a seeded generator so the
 same flags always produce the same report (the elapsed_ms field aside).
-Exit status: 0 when every check passes, 1 when any fails, 2 on bad usage.
+Exit status: 0 when every check passes, 1 when any fails, 2 on bad usage
+or when the report cannot be written to --out.
 """
 
 from __future__ import annotations
@@ -466,6 +467,8 @@ def _classify_checks(spec: SuiteSpec) -> list[Check]:
         report = pin_case4(spec.grid)
         _require(report.claimed_point_passes,
                  "the claimed parameter point failed the tangency test")
+        _require(report.cells > 0,
+                 f"grid {report.grid} holds no cells, so the sweep is no evidence")
         _require(not report.unexpected_passes,
                  f"grid points passed: {', '.join(report.unexpected_passes)}")
         point = claimed_case4_point()
@@ -571,8 +574,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = run(spec)
     payload = emit(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"nksl3: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 0 if report.passed else 1

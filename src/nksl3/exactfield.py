@@ -23,7 +23,7 @@ Rational = int | Fraction
 def _to_fraction(x: Rational | str) -> Fraction:
     if type(x) is Fraction:
         return x
-    if isinstance(x, (int, str, Fraction)):
+    if isinstance(x, (int, str, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"rational coordinate expected, got {type(x).__name__}")
 
@@ -203,7 +203,8 @@ class FieldElem:
         s3 = FieldElem._raw(a, -b, -c, d)
         t = s1 * s2 * s3
         n = self * t
-        assert not (n._b or n._c or n._d)
+        if n._b or n._c or n._d:
+            raise ArithmeticError(f"the conjugate norm of {self} is not rational")
         na = n._a
         return FieldElem._raw(t._a / na, t._b / na, t._c / na, t._d / na)
 
@@ -293,7 +294,7 @@ _TERM_RE = re.compile(
 def _coerce(x: object) -> FieldElem | None:
     if isinstance(x, FieldElem):
         return x
-    if isinstance(x, int) or type(x) is Fraction:
+    if (isinstance(x, int) and not isinstance(x, bool)) or type(x) is Fraction:
         return FieldElem._raw(Fraction(x), _F0, _F0, _F0)
     return None
 

@@ -34,7 +34,7 @@ SUBSPACES: dict[str, tuple[int, ...]] = {
 def _scalar(x: object) -> FieldElem | None:
     if isinstance(x, FieldElem):
         return x
-    if isinstance(x, int) or type(x) is Fraction:
+    if (isinstance(x, int) and not isinstance(x, bool)) or type(x) is Fraction:
         return FieldElem(x)
     return None
 

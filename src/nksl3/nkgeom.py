@@ -1,6 +1,10 @@
 """The invariant almost complex structures, the canonical connection data
 and the curvature tensor of the naturally reductive metric.
 
+R(X, Y)Z is contracted from the basis components R(eᵢ, eⱼ)eₖ.  Each basis
+triple is computed once, on first use, by the five-term invariant formula;
+the bracket-only oracle computes its values without them.
+
 J is the nearly Kähler almost complex structure, J₁ an auxiliary invariant
 complex structure on the same tangent space, and F the skew rotation that
 kills m₁ and rotates m₂ against m₃; the product J₁J is the involution that
@@ -142,7 +146,7 @@ _C34 = Fraction(3, 4)
 _C94 = Fraction(9, 4)
 
 
-def curvature(x: MVec, y: MVec, z: MVec) -> MVec:
+def _five_term(x: MVec, y: MVec, z: MVec) -> MVec:
     """R(X, Y)Z from the five-term invariant expression built out of the
     metric, J, the product involution J₁J and F."""
     g = metric
@@ -155,6 +159,33 @@ def curvature(x: MVec, y: MVec, z: MVec) -> MVec:
     t4 = (x * g(py, z) - y * g(px, z) + px * g(y, z) - py * g(x, z)) * _C34
     t5 = (fx * g(y, fz) - fy * g(x, fz)) * 3
     return t1 - t2 + t3 + t4 - t5
+
+
+@cache
+def curvature_components(i: int, j: int, k: int) -> tuple[tuple[int, FieldElem], ...]:
+    """The nonzero coefficients ((l, c), ...) of R(eᵢ₊₁, eⱼ₊₁)eₖ₊₁ = Σ c·eₗ₊₁,
+    each basis triple evaluated once by the five-term formula, on first use."""
+    value = _five_term(MVec.basis(i + 1), MVec.basis(j + 1), MVec.basis(k + 1))
+    return tuple((l, c) for l, c in enumerate(value.coeffs) if c)
+
+
+def curvature(x: MVec, y: MVec, z: MVec) -> MVec:
+    """R(X, Y)Z, contracted from the basis components of the tensor over
+    the supports of X, Y and Z."""
+    xs = [(i, c) for i, c in enumerate(x.coeffs) if c]
+    ys = [(j, c) for j, c in enumerate(y.coeffs) if c]
+    zs = [(k, c) for k, c in enumerate(z.coeffs) if c]
+    acc = [ZERO] * 6
+    for i, xi in xs:
+        for j, yj in ys:
+            xy = xi * yj
+            for k, zk in zs:
+                terms = curvature_components(i, j, k)
+                if terms:
+                    product = xy * zk
+                    for l, c in terms:
+                        acc[l] = acc[l] + c * product
+    return MVec._raw(tuple(acc))
 
 
 def _oracle_raw(x: MVec, y: MVec, z: MVec) -> MVec:

@@ -175,3 +175,22 @@ def test_main_respects_grid_flag(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "0:1:1/2,-1:1:1/2" in out
+
+
+def test_empty_grid_is_not_evidence(capsys):
+    code = cli.main(["classify", "--grid", "0:0:1,0:0:1"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL classify.case4_pinned" in out
+    assert "holds no cells" in out
+
+
+def test_main_out_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = cli.main(["tensors", "--format", "json", "--out", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(target) in captured.err
+    assert not target.exists()

@@ -26,6 +26,13 @@ def test_floats_are_rejected():
         FieldElem(1) + 0.5
 
 
+def test_bools_are_rejected():
+    with pytest.raises(TypeError):
+        FieldElem(1) + True
+    with pytest.raises(TypeError):
+        FieldElem(True)
+
+
 def test_zero_iff_all_coordinates_vanish():
     assert not ZERO
     assert ONE

@@ -156,6 +156,13 @@ def test_decompose_roundtrip_random():
         assert decompose(coeffs.to_matrix()) == coeffs
 
 
+def test_vectors_reject_bool_scalars():
+    with pytest.raises(TypeError):
+        MVec.basis(1) * True
+    with pytest.raises(TypeError):
+        MVec([True, 0, 0, 0, 0, 0])
+
+
 def test_decompose_rejects_trace():
     with pytest.raises(ValueError):
         decompose(AlgMat.identity())

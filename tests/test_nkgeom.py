@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nksl3 import classify, cli, nkgeom
 from nksl3.exactfield import ONE, ZERO, FieldElem, random_element
 from nksl3.liealg import (MVec, bracket, m_component, metric,
                           rotation_action_matrix)
@@ -16,6 +17,7 @@ from nksl3.nkgeom import (F, J, J1, P, TENSORS, DegeneratePlaneError,
                           apply_tensor, curvature, curvature_oracle,
                           einstein_constant, nabla, nabla_J, nabla_tensor,
                           oracle_sign, ricci, sectional)
+from nksl3.nkgeom import _five_term
 
 RNG_SEED = 77
 
@@ -268,3 +270,38 @@ def test_ricci_is_proportional_to_metric():
     for i, j in itertools.product(M_INDICES, repeat=2):
         expected = metric(MVec.basis(i), MVec.basis(j)) * 5
         assert ric[i - 1][j - 1] == expected
+
+
+# ------------------------------------------ memoized basis components
+
+def test_contraction_matches_five_term_exhaustive():
+    basis = _basis()
+    for i, j, k in itertools.product(range(6), repeat=3):
+        x, y, z = basis[i], basis[j], basis[k]
+        assert curvature(x, y, z) == _five_term(x, y, z), (i + 1, j + 1, k + 1)
+
+
+def test_contraction_matches_five_term_random_dense():
+    # dense irrational coefficients exercise the contraction's indices and
+    # products, which basis triples alone leave at ±1
+    rng = random.Random(RNG_SEED + 7)
+    for _ in range(20):
+        x, y, z = _random_mvec(rng), _random_mvec(rng), _random_mvec(rng)
+        assert curvature(x, y, z) == _five_term(x, y, z)
+
+
+def test_five_term_runs_once_per_basis_triple(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(x, y, z):
+        calls.append((x, y, z))
+        return _five_term(x, y, z)
+
+    monkeypatch.setattr(nkgeom, "_five_term", counted)
+    for cached in (nkgeom.curvature_components, nkgeom.oracle_sign,
+                   nkgeom.ricci, classify.curvature_table):
+        cached.cache_clear()
+    code = cli.main(["all", "--format", "json",
+                     "--out", str(tmp_path / "all.json")])
+    assert code == 0
+    assert len(calls) == len(set(calls)) <= 216
