@@ -212,6 +212,9 @@ def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
     return True
 
 
+MAX_GRID_CELLS = 1_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rational sweep grid for the case 4 parameters: a over (a_min, a_max]
@@ -236,7 +239,11 @@ class GridSpec:
                              "'amin:amax:astep,bmin:bmax:bstep'") from exc
         if a_step <= 0 or b_step <= 0:
             raise ValueError("grid steps must be positive")
-        return cls(a_min, a_max, a_step, b_min, b_max, b_step)
+        grid = cls(a_min, a_max, a_step, b_min, b_max, b_step)
+        if grid.cells() > MAX_GRID_CELLS:
+            raise ValueError(f"grid {text!r} has {grid.cells()} cells, "
+                             f"above the cap of {MAX_GRID_CELLS}")
+        return grid
 
     def a_values(self) -> Iterator[Fraction]:
         value = self.a_min
@@ -252,6 +259,15 @@ class GridSpec:
         while value <= self.b_max:
             yield value
             value += self.b_step
+
+    def cells(self) -> int:
+        """The number of cells `pin_case4` sweeps (both ε), counted in
+        integer arithmetic without iterating."""
+        # a = a_min + k·a_step for 1 ≤ k ≤ a_last, kept only when a > 0.
+        a_last = (self.a_max - self.a_min) // self.a_step
+        a_first = max(1, -self.a_min // self.a_step + 1)
+        b_count = (self.b_max - self.b_min) // self.b_step + 1
+        return 2 * max(0, a_last - a_first + 1) * max(0, b_count)
 
     def __str__(self) -> str:
         return (f"{self.a_min}:{self.a_max}:{self.a_step},"

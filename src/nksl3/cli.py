@@ -29,8 +29,8 @@ from .exactfield import ONE, SQRT2, SQRT3, SQRT6, ZERO, FieldElem
 from .liealg import (FullVec, MVec, ad_numeric, basis_matrix, bracket,
                      decompose, dphi, metric, rotation_action_matrix)
 from .nkgeom import (F, J, J1, P, DegeneratePlaneError, curvature,
-                     curvature_oracle, einstein_constant, nabla_tensor,
-                     oracle_sign, ricci, sectional)
+                     einstein_constant, nabla_tensor, oracle_sign, ricci,
+                     sectional)
 from .surfaces import FAMILIES, certify
 
 SUITES = ("field", "algebra", "tensors", "curvature", "examples",
@@ -59,8 +59,8 @@ class SuiteSpec:
     def __post_init__(self) -> None:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite: {self.suite}")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < float("inf"):
+            raise ValueError("tolerance must be positive and finite")
         if self.samples < 1:
             raise ValueError("sample count must be at least 1")
 
@@ -347,11 +347,8 @@ def _tensors_checks(spec: SuiteSpec) -> list[Check]:
 
 def _curvature_checks(spec: SuiteSpec) -> list[Check]:
     def oracle() -> str:
+        # oracle_sign raises unless the routes agree on all 216 triples
         sign = oracle_sign()
-        for i, j, k in itertools.product(_M_INDICES, repeat=3):
-            x, y, z = (MVec.basis(n) for n in (i, j, k))
-            _require(curvature(x, y, z) == curvature_oracle(x, y, z),
-                     f"routes disagree at ({i}, {j}, {k})")
         return f"216 triples match the bracket route, sign convention {sign:+d}"
 
     def symmetries() -> str:
@@ -558,19 +555,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="write the report to FILE instead of stdout")
     args = parser.parse_args(argv)
 
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
-    if args.samples < 1:
-        parser.error("--samples must be at least 1")
-    grid = None
-    if args.grid is not None:
-        try:
-            grid = GridSpec.parse(args.grid)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    spec = SuiteSpec(args.suite, tol=args.tol, samples=args.samples,
-                     grid=grid, seed=args.seed)
+    try:
+        grid = None if args.grid is None else GridSpec.parse(args.grid)
+        spec = SuiteSpec(args.suite, tol=args.tol, samples=args.samples,
+                         grid=grid, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run(spec)
     payload = emit(report, args.format)
     if args.out:

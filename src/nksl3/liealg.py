@@ -5,7 +5,9 @@ h = span{e₇, e₈} is the isotropy algebra of the stabilizer R × SO(2); the
 three two-dimensional blocks m₁, m₂, m₃ fill out the tangent space
 m = m₁ ⊕ m₂ ⊕ m₃.  The invariant metric is ⟨X, Y⟩ = −½·tr(XY).  Structure
 constants, component Gram matrices and dual bases are computed from the
-basis matrices, never transcribed.
+basis matrices, never transcribed.  The matrix `bracket` is the definition
+and the reference route; every working bracket, `coeff_bracket`, is
+contracted from the structure constants without a 3×3 product.
 """
 
 from __future__ import annotations
@@ -303,7 +305,7 @@ class MVec(_CoeffVec):
     _LENGTH = 6
 
     def to_matrix(self) -> AlgMat:
-        return _combine(self._coeffs, 0)
+        return _combine(self._coeffs)
 
     def to_full(self) -> "FullVec":
         return FullVec._raw(self._coeffs + (ZERO, ZERO))
@@ -315,7 +317,7 @@ class FullVec(_CoeffVec):
     _LENGTH = 8
 
     def to_matrix(self) -> AlgMat:
-        return _combine(self._coeffs, 0)
+        return _combine(self._coeffs)
 
     def m_part(self) -> MVec:
         return MVec._raw(self._coeffs[:6])
@@ -324,12 +326,21 @@ class FullVec(_CoeffVec):
         return self._coeffs[6:]
 
 
-def _combine(coeffs: Sequence[FieldElem], offset: int) -> AlgMat:
-    total = _ZERO_MAT
-    for index, coeff in enumerate(coeffs):
+_BASIS_ENTRIES: tuple[tuple[tuple[int, int, FieldElem], ...], ...] = tuple(
+    tuple((r, c, entry) for r, row in enumerate(mat.rows)
+          for c, entry in enumerate(row) if entry)
+    for mat in _BASIS)
+
+
+def _combine(coeffs: Sequence[FieldElem]) -> AlgMat:
+    """Σ cᵢ·eᵢ, accumulated only at the nonzero entries (r, c, value) of
+    each eᵢ."""
+    rows = [[ZERO] * 3 for _ in range(3)]
+    for coeff, entries in zip(coeffs, _BASIS_ENTRIES):
         if coeff:
-            total = total + _BASIS[index + offset] * coeff
-    return total
+            for r, c, entry in entries:
+                rows[r][c] = rows[r][c] + entry * coeff
+    return AlgMat._raw(tuple(tuple(row) for row in rows))
 
 
 @cache
@@ -389,20 +400,6 @@ def decompose(x: AlgMat) -> FullVec:
     return FullVec._raw(tuple(coeffs))
 
 
-def project(x: AlgMat, tag: str) -> AlgMat:
-    """Component of X in the tagged summand (h, m1, m2, m3 or m)."""
-    indices = SUBSPACES.get(tag)
-    if indices is None:
-        raise ValueError(f"unknown subspace tag: {tag!r}")
-    full = decompose(x)
-    total = _ZERO_MAT
-    for i in indices:
-        coeff = full.coeffs[i - 1]
-        if coeff:
-            total = total + _BASIS[i - 1] * coeff
-    return total
-
-
 def m_component(x: AlgMat) -> MVec:
     return decompose(x).m_part()
 
@@ -411,7 +408,7 @@ def ad_action(i: int, x: MVec) -> MVec:
     """ad(eᵢ) acting on the tangent space, for the isotropy indices i ∈ {7, 8}."""
     if i not in SUBSPACES["h"]:
         raise ValueError("ad_action is for the isotropy directions e7, e8")
-    return m_component(bracket(_BASIS[i - 1], x.to_matrix()))
+    return coeff_bracket(FullVec.basis(i), x).m_part()
 
 
 def stabilizer_element(t: float, s: float) -> np.ndarray:
@@ -487,3 +484,26 @@ def structure_constants_strings() -> list[list[list[str]]]:
     """The structure constant table rendered for JSON reports."""
     return [[[str(entry) for entry in inner] for inner in row]
             for row in structure_constants()]
+
+
+@cache
+def _bracket_terms() -> tuple[tuple[int, int, tuple[tuple[int, FieldElem], ...]], ...]:
+    """The nonzero structure constants grouped by index pair:
+    (i, j, ((k, c), ...)) with [eᵢ₊₁, eⱼ₊₁] = Σ c·eₖ₊₁."""
+    return tuple((i, j, terms)
+                 for i, row in enumerate(structure_constants())
+                 for j, column in enumerate(row)
+                 if (terms := tuple((k, c) for k, c in enumerate(column) if c)))
+
+
+def coeff_bracket(x: MVec | FullVec, y: MVec | FullVec) -> FullVec:
+    """[X, Y] over (e₁, …, e₈), contracted from the structure constants."""
+    xc = x.to_full().coeffs if isinstance(x, MVec) else x.coeffs
+    yc = y.to_full().coeffs if isinstance(y, MVec) else y.coeffs
+    acc = [ZERO] * 8
+    for i, j, terms in _bracket_terms():
+        if xc[i] and yc[j]:
+            product = xc[i] * yc[j]
+            for k, c in terms:
+                acc[k] = acc[k] + c * product
+    return FullVec._raw(tuple(acc))

@@ -19,7 +19,7 @@ from functools import cache
 
 from . import linalg
 from .exactfield import ONE, ZERO, FieldElem
-from .liealg import FullVec, MVec, metric, structure_constants
+from .liealg import FullVec, MVec, coeff_bracket, metric
 
 
 class DegeneratePlaneError(ValueError):
@@ -103,33 +103,10 @@ def apply_tensor(tensor: InvariantTensor, x: MVec) -> MVec:
 _HALF = Fraction(1, 2)
 
 
-@cache
-def _bracket_terms() -> tuple[tuple[int, int, tuple[tuple[int, FieldElem], ...]], ...]:
-    """The nonzero structure constants grouped by index pair:
-    (i, j, ((k, c), ...)) with [eᵢ₊₁, eⱼ₊₁] = Σ c·eₖ₊₁."""
-    return tuple((i, j, terms)
-                 for i, row in enumerate(structure_constants())
-                 for j, column in enumerate(row)
-                 if (terms := tuple((k, c) for k, c in enumerate(column) if c)))
-
-
-def _bracket(x: MVec | FullVec, y: MVec | FullVec) -> FullVec:
-    """[X, Y] over (e₁, …, e₈), contracted from the structure constants."""
-    xc = x.to_full().coeffs if isinstance(x, MVec) else x.coeffs
-    yc = y.to_full().coeffs if isinstance(y, MVec) else y.coeffs
-    acc = [ZERO] * 8
-    for i, j, terms in _bracket_terms():
-        if xc[i] and yc[j]:
-            product = xc[i] * yc[j]
-            for k, c in terms:
-                acc[k] = acc[k] + c * product
-    return FullVec(acc)
-
-
 def nabla(x: MVec, y: MVec) -> MVec:
     """Levi-Civita covariant derivative at the base point of the naturally
     reductive metric: ∇_X Y = ½·[X, Y]_m."""
-    return _bracket(x, y).m_part() * _HALF
+    return coeff_bracket(x, y).m_part() * _HALF
 
 
 def nabla_tensor(tensor: InvariantTensor, x: MVec, y: MVec) -> MVec:
@@ -189,10 +166,10 @@ def curvature(x: MVec, y: MVec, z: MVec) -> MVec:
 
 
 def _oracle_raw(x: MVec, y: MVec, z: MVec) -> MVec:
-    bxy = _bracket(x, y)
+    bxy = coeff_bracket(x, y)
     first = nabla(x, nabla(y, z)) - nabla(y, nabla(x, z))
     horizontal = nabla(bxy.m_part(), z)
-    isotropy = _bracket(FullVec((ZERO,) * 6 + bxy.h_coeffs()), z).m_part()
+    isotropy = coeff_bracket(FullVec((ZERO,) * 6 + bxy.h_coeffs()), z).m_part()
     return first - horizontal - isotropy
 
 

@@ -5,7 +5,8 @@ subgroup it sweeps out, and the closed-form coset representative of
 π ∘ exp(·) in the parameters (u, v).  Certification combines exact tangent
 algebra (almost complex spans, second fundamental form, induced signature,
 sectional constants, orbit algebra closure) with a numeric cross-check of
-the closed forms against a matrix exponential.
+the closed forms against a matrix exponential.  Brackets come from
+`liealg.coeff_bracket`; matrices appear only as float exponential arguments.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import linalg
 from .exactfield import SQRT2, SQRT3, FieldElem
-from .liealg import (AlgMat, MVec, basis_matrix, bracket, decompose,
-                     m_component, metric, stabilizer_element)
+from .liealg import (FullVec, MVec, basis_matrix, coeff_bracket, metric,
+                     stabilizer_element)
 from .nkgeom import J, sectional
 
 _HALF = Fraction(1, 2)
@@ -213,29 +214,22 @@ def _frobenius(a: np.ndarray) -> float:
 
 def coset_deviation(achieved: np.ndarray, target: np.ndarray) -> float:
     """Frobenius distance between coset representatives after aligning with
-    the best stabilizer element h(t, s).
+    the stabilizer element h(t, s) that carries one onto the other.
 
-    The displays are exact representatives, so the identity alignment is
-    expected to win already; the numeric minimization is a safety net for
-    representative mismatches.
+    The displays are exact representatives, so the direct distance is
+    expected to be tiny already and is returned as is.  Otherwise h = A⁻¹T
+    is read off in closed form: h₃₃ = e^{−2t} gives t and the upper block's
+    first row gives the rotation angle s.
     """
     direct = _frobenius(achieved - target)
     if direct <= 1e-12:
         return direct
-    from scipy.optimize import minimize
-
-    def objective(params: np.ndarray) -> float:
-        t, s = params
-        return _frobenius(achieved @ stabilizer_element(t, s) - target)
-
-    best = direct
-    for t0 in (0.0, 0.5, -0.5):
-        for s0 in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
-            outcome = minimize(objective, np.array([t0, s0]), method="Nelder-Mead",
-                               options={"xatol": 1e-12, "fatol": 1e-15,
-                                        "maxiter": 400})
-            best = min(best, float(outcome.fun))
-    return best
+    h = np.linalg.solve(achieved, target)
+    if h[2, 2] <= 0:
+        return direct
+    t = -0.5 * math.log(h[2, 2])
+    s = math.atan2(h[0, 1], h[0, 0])
+    return min(direct, _frobenius(achieved @ stabilizer_element(t, s) - target))
 
 
 @dataclass(frozen=True)
@@ -257,8 +251,8 @@ def exp_check(fid: str, samples: int = 100, tol: float = 1e-8,
               seed: int = 0) -> ExpCheckResult:
     """Compare expm of the family's Lie-algebra argument against the closed
     form on seeded random (u, v), as cosets."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     fam = family(fid)
     rng = random.Random(seed)
     max_dev = 0.0
@@ -287,7 +281,7 @@ def sff(kbasis: Sequence[MVec], x: MVec, y: MVec) -> MVec:
         raise DegenerateSpanError(
             "span has degenerate induced metric; use the canonical-embedding "
             "criterion instead") from None
-    w = m_component(bracket(x.to_matrix(), y.to_matrix()))
+    w = coeff_bracket(x, y).m_part()
     pairings = [metric(w, ki) for ki in kbasis]
     tangent = MVec.zero()
     for i, ki in enumerate(kbasis):
@@ -300,19 +294,17 @@ def sff(kbasis: Sequence[MVec], x: MVec, y: MVec) -> MVec:
 
 def generated_algebra_dimension(seeds: Sequence[MVec]) -> int:
     """Dimension of the Lie algebra generated by the seed tangent vectors."""
-    generators: list[AlgMat] = [v.to_matrix() for v in seeds]
-    rows = [list(decompose(mat).coeffs) for mat in generators]
+    generators: list[FullVec] = [v.to_full() for v in seeds]
+    rows = [list(g.coeffs) for g in generators]
     current = linalg.rank(rows)
     while True:
-        new_mats = [bracket(a, b)
-                    for i, a in enumerate(generators)
-                    for b in generators[i + 1:]]
-        candidate_rows = rows + [list(decompose(mat).coeffs)
-                                 for mat in new_mats if mat]
+        new = [w for i, a in enumerate(generators) for b in generators[i + 1:]
+               if (w := coeff_bracket(a, b))]
+        candidate_rows = rows + [list(w.coeffs) for w in new]
         new_rank = linalg.rank(candidate_rows)
         if new_rank == current:
             return current
-        generators.extend(mat for mat in new_mats if mat)
+        generators.extend(new)
         rows = candidate_rows
         current = new_rank
 
@@ -323,9 +315,8 @@ def _canonically_embedded(span: Sequence[MVec]) -> bool:
     vectors = [list(v.to_full().coeffs) for v in span]
     for i, a in enumerate(span):
         for b in span[i + 1:]:
-            product = bracket(a.to_matrix(), b.to_matrix())
             coeffs, _ = linalg.solve_in_span(vectors,
-                                             list(decompose(product).coeffs))
+                                             list(coeff_bracket(a, b).coeffs))
             if coeffs is None:
                 return False
     return True

@@ -222,6 +222,23 @@ def test_pin_case4_skips_nonpositive_a():
     assert a_values == [Fraction(1, 2), Fraction(1)]
 
 
+def test_grid_cells_counts_the_sweep():
+    # the default grid, a_min < 0, fractional steps and the empty grid
+    for spec in (None, "-1:1:1/3,-1:1:1/2", "1/7:5/3:2/9,-2/3:1/5:1/4",
+                 "0:0:1,0:0:1"):
+        grid = GridSpec.parse(spec) if spec else GridSpec()
+        assert grid.cells() == pin_case4(grid).cells, spec
+
+
+def test_grid_spec_refuses_grids_above_the_cap():
+    grid = "0:1000:1/50,-2500:2500:1/2"
+    with pytest.raises(ValueError, match="above the cap"):
+        GridSpec.parse(grid)
+    assert GridSpec(Fraction(0), Fraction(1000), Fraction(1, 50),
+                    Fraction(-2500), Fraction(2500),
+                    Fraction(1, 2)).cells() == 2 * 50_000 * 10_001
+
+
 def test_match_survivors():
     matches = match_survivors()
     assert set(matches) == {"1", "3+", "3-", "4", "5"}

@@ -2,10 +2,12 @@
 and process exit codes."""
 
 import json
+import math
 
 import pytest
 
-from nksl3 import cli
+from nksl3 import cli, nkgeom
+from nksl3.liealg import MVec
 from nksl3.classify import GridSpec
 
 COARSE_GRID = "0:1:1/2,-1:1:1/2"
@@ -194,3 +196,45 @@ def test_main_out_unwritable_path_exits_2(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert str(target) in captured.err
     assert not target.exists()
+
+
+def test_nonfinite_tolerance_is_refused(capsys):
+    for argv in (["algebra", "--tol", "nan"], ["examples", "--tol", "inf"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "tolerance" in capsys.readouterr().err
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cli.SuiteSpec("field", tol=tol)
+
+
+def test_oversized_grid_exits_2_without_sweeping(monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid was swept")
+
+    monkeypatch.setattr(cli, "pin_case4", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--grid", "0:1000:1/50,-2500:2500:1/2"])
+    assert exc.value.code == 2
+    assert "above the cap" in capsys.readouterr().err
+
+
+def test_oracle_agreement_fails_when_routes_disagree(monkeypatch):
+    original = nkgeom._oracle_raw
+    e1, e2 = MVec.basis(1), MVec.basis(2)
+
+    def perturbed(x, y, z):
+        raw = original(x, y, z)
+        return raw + e1 if (x, y, z) == (e1, e2, e2) else raw
+
+    nkgeom.oracle_sign.cache_clear()
+    monkeypatch.setattr(nkgeom, "_oracle_raw", perturbed)
+    try:
+        records = {r.name: r for r in cli.run(_spec("curvature")).checks}
+    finally:
+        monkeypatch.undo()
+        nkgeom.oracle_sign.cache_clear()
+    agreement = records["curvature.oracle_agreement"]
+    assert not agreement.passed
+    assert "no single sign convention" in agreement.witness

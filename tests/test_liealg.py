@@ -12,8 +12,8 @@ import pytest
 from nksl3.exactfield import (ONE, SQRT2, SQRT3, ZERO, FieldElem,
                               random_element)
 from nksl3.liealg import (SUBSPACES, AlgMat, FullVec, MVec, ad_action,
-                          ad_numeric, basis_matrix, bracket, decompose, dphi,
-                          m_component, metric, project,
+                          ad_numeric, basis_matrix, bracket, coeff_bracket,
+                          decompose, dphi, m_component, metric,
                           rotation_action_matrix, stabilizer_element,
                           structure_constants, structure_constants_strings)
 from nksl3 import linalg
@@ -168,25 +168,53 @@ def test_decompose_rejects_trace():
         decompose(AlgMat.identity())
 
 
-def test_project_splits_correctly():
+def _dense_fullvec(rng):
+    # every coefficient nonzero, so the h-components take part as well
+    return FullVec(random_element(rng, nonzero=True) for _ in range(8))
+
+
+def test_coeff_bracket_matches_matrix_route():
+    # exhaustive on basis pairs (a proof by bilinearity) and on dense pairs
+    for i, j in itertools.product(ALL_INDICES, repeat=2):
+        x, y = FullVec.basis(i), FullVec.basis(j)
+        assert coeff_bracket(x, y) == decompose(
+            bracket(x.to_matrix(), y.to_matrix())), (i, j)
     rng = random.Random(RNG_SEED + 3)
     for _ in range(20):
-        x = FullVec(random_element(rng) for _ in range(8)).to_matrix()
-        pieces = [project(x, tag) for tag in ("m1", "m2", "m3", "h")]
-        total = pieces[0]
-        for piece in pieces[1:]:
-            total = total + piece
-        assert total == x
-        assert project(x, "m") == pieces[0] + pieces[1] + pieces[2]
-    with pytest.raises(ValueError):
-        project(AlgMat.zero(), "nope")
+        x, y = _dense_fullvec(rng), _dense_fullvec(rng)
+        assert coeff_bracket(x, y) == decompose(
+            bracket(x.to_matrix(), y.to_matrix()))
 
 
-def test_m_component_vs_project():
+def test_coeff_bracket_accepts_tangent_vectors():
+    x, y = MVec.basis(3), MVec.basis(5)
+    assert coeff_bracket(x, y) == coeff_bracket(x.to_full(), y.to_full())
+    assert coeff_bracket(x, y) == -FullVec.basis(1) - FullVec.basis(7) * SQRT3
+
+
+def test_ad_action_matches_matrix_route():
     rng = random.Random(RNG_SEED + 4)
     for _ in range(20):
-        x = FullVec(random_element(rng) for _ in range(8)).to_matrix()
-        assert m_component(x).to_matrix() == project(x, "m")
+        x = MVec(random_element(rng) for _ in range(6))
+        for i in SUBSPACES["h"]:
+            assert ad_action(i, x) == m_component(
+                bracket(basis_matrix(i), x.to_matrix()))
+
+
+def test_to_matrix_matches_dense_combination():
+    def dense(vec):
+        total = AlgMat.zero()
+        for i, c in enumerate(vec.coeffs, start=1):
+            total = total + basis_matrix(i) * c
+        return total
+
+    rng = random.Random(RNG_SEED + 7)
+    for _ in range(20):
+        x = MVec(random_element(rng) for _ in range(6))
+        y = FullVec(random_element(rng) for _ in range(8))
+        assert x.to_matrix() == dense(x)
+        assert y.to_matrix() == dense(y)
+    assert MVec.zero().to_matrix() == AlgMat.zero()
 
 
 def test_ad_action_examples():

@@ -154,6 +154,19 @@ def test_coset_deviation_aligns_stabilizer_shift():
     assert coset_deviation(shifted, base @ np.diag([2.0, 1.0, 0.5])) > 1e-3
 
 
+def test_coset_deviation_closed_form_alignment_per_family():
+    rng = random.Random(RNG_SEED + 2)
+    for fid in ALL_IDS:
+        fam = family(fid)
+        for _ in range(20):
+            u = rng.uniform(*fam.u_range)
+            v = rng.uniform(*fam.v_range)
+            t, s = rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)
+            closed = closed_form(fid, u, v)
+            shifted = closed @ stabilizer_element(t, s)
+            assert coset_deviation(shifted, closed) < 1e-9, (fid, u, v, t, s)
+
+
 def test_exp_check_all_families():
     for fid in ALL_IDS:
         result = exp_check(fid, samples=100, tol=1e-8, seed=0)
@@ -175,6 +188,12 @@ def test_exp_check_deterministic():
 def test_exp_check_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         exp_check("f1", tol=0.0)
+
+
+def test_exp_check_rejects_nonfinite_tolerance():
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            exp_check("f1", samples=1, tol=tol)
 
 
 def test_sff_vanishes_on_nondegenerate_families():
