@@ -73,13 +73,6 @@ class CaseCandidate:
     def instantiated(self) -> bool:
         return not self.free_parameters
 
-    def with_params(self, epsilon: int | None = None, a: FieldElem | None = None,
-                    b: FieldElem | None = None) -> "CaseCandidate":
-        return CaseCandidate(self.case,
-                             epsilon if epsilon is not None else self.epsilon,
-                             a if a is not None else self.a,
-                             b if b is not None else self.b)
-
     def vector(self) -> MVec:
         if not self.instantiated:
             raise ValueError(f"case {self.case} candidate is missing "

@@ -4,6 +4,11 @@ Every element is a + b·√2 + c·√3 + d·√6 with rational coordinates.  The
 basis is multiplicatively closed via √2·√3 = √6, √2·√6 = 2√3 and
 √3·√6 = 3√2, so all matrix entries appearing downstream stay inside the
 field and every identity can be checked by exact equality.
+
+An element is stored as four integer numerators over one positive common
+denominator, (a, b, c, d, q), with gcd(a, b, c, d, q) = 1, so arithmetic
+runs on ints alone and each result is reduced by one gcd of five.  The
+coordinates a/q, …, d/q are read as Fractions.
 """
 
 from __future__ import annotations
@@ -21,154 +26,161 @@ Rational = int | Fraction
 
 
 def _to_fraction(x: Rational | str) -> Fraction:
-    if type(x) is Fraction:
-        return x
     if isinstance(x, (int, str, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"rational coordinate expected, got {type(x).__name__}")
 
 
-def _sign_rat(q: Fraction) -> int:
+def _sign_int(q: int) -> int:
     return (q > 0) - (q < 0)
 
 
-def _sign_sqrt2(p: Fraction, q: Fraction) -> int:
-    """Exact sign of p + q·√2 with p, q rational."""
+def _sign_sqrt2(p: int, q: int) -> int:
+    """Exact sign of p + q·√2 with p, q integers."""
     if not q:
-        return _sign_rat(p)
+        return _sign_int(p)
     if not p:
-        return _sign_rat(q)
-    sp = _sign_rat(p)
-    if sp == _sign_rat(q):
+        return _sign_int(q)
+    sp = _sign_int(p)
+    if sp == _sign_int(q):
         return sp
     # p and q have opposite signs: the sign follows p exactly when
     # p² beats 2q², since (p + q√2)(p − q√2) = p² − 2q².
-    return sp * _sign_rat(p * p - 2 * q * q)
+    return sp * _sign_int(p * p - 2 * q * q)
 
 
 @total_ordering
 class FieldElem:
     """An element of Q(√2, √3) in coordinates over {1, √2, √3, √6}.
 
-    Immutable.  The coordinates of a value are unique, so equality is
-    componentwise and a value is zero iff all four coordinates vanish.
+    Immutable.  The reduced tuple (a, b, c, d, q) of a value is unique
+    (zero is (0, 0, 0, 0, 1)), so equality is componentwise and a value is
+    zero iff all four numerators vanish.
     """
 
-    __slots__ = ("_a", "_b", "_c", "_d")
+    __slots__ = ("_v",)
 
     def __init__(self, a: Rational | str = 0, b: Rational | str = 0,
                  c: Rational | str = 0, d: Rational | str = 0) -> None:
-        object.__setattr__(self, "_a", _to_fraction(a))
-        object.__setattr__(self, "_b", _to_fraction(b))
-        object.__setattr__(self, "_c", _to_fraction(c))
-        object.__setattr__(self, "_d", _to_fraction(d))
+        coords = [_to_fraction(x) for x in (a, b, c, d)]
+        q = math.lcm(*(x.denominator for x in coords))
+        # Coprime already: each coordinate is reduced and q is their lcm.
+        _SET_V(self, (*(x.numerator * (q // x.denominator) for x in coords), q))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldElem is immutable")
 
-    @classmethod
-    def _raw(cls, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> "FieldElem":
-        elem = object.__new__(cls)
-        object.__setattr__(elem, "_a", a)
-        object.__setattr__(elem, "_b", b)
-        object.__setattr__(elem, "_c", c)
-        object.__setattr__(elem, "_d", d)
-        return elem
-
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._v[0], self._v[4])
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._v[1], self._v[4])
 
     @property
     def c(self) -> Fraction:
-        return self._c
+        return Fraction(self._v[2], self._v[4])
 
     @property
     def d(self) -> Fraction:
-        return self._d
+        return Fraction(self._v[3], self._v[4])
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self._a, self._b, self._c, self._d)
+        *nums, q = self._v
+        return tuple(Fraction(n, q) for n in nums)
 
     @property
     def is_rational(self) -> bool:
-        return not (self._b or self._c or self._d)
+        _, b, c, d, _ = self._v
+        return not (b or c or d)
 
     def __bool__(self) -> bool:
-        return bool(self._a or self._b or self._c or self._d)
+        a, b, c, d, _ = self._v
+        return bool(a or b or c or d)
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._c, self._d))
+        a, b, c, d, q = self._v
+        if b or c or d:
+            return hash(self._v)
+        # A rational element equals the int or Fraction a/q: hash like it.
+        return hash(a) if q == 1 else hash(Fraction(a, q))
 
     def __eq__(self, other: object) -> bool:
-        other = _coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
-        return self.coords == other.coords
+        return self._v == other._v
 
     def __lt__(self, other: object) -> bool:
-        other = _coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
         return (self - other).sign() < 0
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem._raw(-self._a, -self._b, -self._c, -self._d)
+        a, b, c, d, q = self._v
+        return _reduced(-a, -b, -c, -d, q)
 
     def __add__(self, other: object) -> "FieldElem":
-        other = _coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElem._raw(self._a + other._a, self._b + other._b,
-                              self._c + other._c, self._d + other._d)
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        if q1 == q2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
+        return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
+                        c1 * q2 + c2 * q1, d1 * q2 + d2 * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "FieldElem":
-        other = _coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElem._raw(self._a - other._a, self._b - other._b,
-                              self._c - other._c, self._d - other._d)
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
+        if q1 == q2:
+            return _reduced(a1 - a2, b1 - b2, c1 - c2, d1 - d2, q1)
+        return _reduced(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
+                        c1 * q2 - c2 * q1, d1 * q2 - d2 * q1, q1 * q2)
 
     def __rsub__(self, other: object) -> "FieldElem":
-        other = _coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
         return other - self
 
     def __mul__(self, other: object) -> "FieldElem":
-        other = _coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
-        a1, b1, c1, d1 = self.coords
-        a2, b2, c2, d2 = other.coords
+        a1, b1, c1, d1, q1 = self._v
+        a2, b2, c2, d2, q2 = other._v
         if not (b2 or c2 or d2):
-            return FieldElem._raw(a1 * a2, b1 * a2, c1 * a2, d1 * a2)
+            return _reduced(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q1 * q2)
         if not (b1 or c1 or d1):
-            return FieldElem._raw(a1 * a2, a1 * b2, a1 * c2, a1 * d2)
-        return FieldElem._raw(
+            return _reduced(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q1 * q2)
+        return _reduced(
             a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
             a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            q1 * q2,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "FieldElem":
-        other = _coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
         return self * other.inv()
 
     def __rtruediv__(self, other: object) -> "FieldElem":
-        other = _coerce(other)
+        other = coerce(other)
         if other is None:
             return NotImplemented
         return other * self.inv()
@@ -197,20 +209,21 @@ class FieldElem:
         """
         if not self:
             raise ZeroDivisionError("inverse of the zero field element")
-        a, b, c, d = self.coords
-        s1 = FieldElem._raw(a, -b, c, -d)
-        s2 = FieldElem._raw(a, b, -c, -d)
-        s3 = FieldElem._raw(a, -b, -c, d)
-        t = s1 * s2 * s3
-        n = self * t
-        if n._b or n._c or n._d:
+        a, b, c, d, q = self._v
+        t = (_reduced(a, -b, c, -d, q) * _reduced(a, b, -c, -d, q)
+             * _reduced(a, -b, -c, d, q))
+        na, nb, nc, nd, nq = (self * t)._v
+        if nb or nc or nd:
             raise ArithmeticError(f"the conjugate norm of {self} is not rational")
-        na = n._a
-        return FieldElem._raw(t._a / na, t._b / na, t._c / na, t._d / na)
+        if na < 0:
+            na, nq = -na, -nq
+        ta, tb, tc, td, tq = t._v
+        return _reduced(ta * nq, tb * nq, tc * nq, td * nq, tq * na)
 
     def sign(self) -> int:
         """Exact sign in the real embedding with √2, √3 > 0."""
-        a, b, c, d = self.coords
+        # The denominator is positive, so the numerators carry the sign.
+        a, b, c, d, _ = self._v
         if not (c or d):
             return _sign_sqrt2(a, b)
         if not (a or b):
@@ -226,16 +239,15 @@ class FieldElem:
         return su * _sign_sqrt2(t0, t1)
 
     def to_float(self) -> float:
-        return (float(self._a) + float(self._b) * _SQRT2
-                + float(self._c) * _SQRT3 + float(self._d) * _SQRT6)
+        # int / int is correctly rounded, as float(Fraction) is.
+        a, b, c, d, q = self._v
+        return a / q + b / q * _SQRT2 + c / q * _SQRT3 + d / q * _SQRT6
 
-    def __float__(self) -> float:
-        return self.to_float()
+    __float__ = to_float
 
     def __str__(self) -> str:
         parts: list[str] = []
-        for coef, radical in ((self._a, ""), (self._b, "√2"),
-                              (self._c, "√3"), (self._d, "√6")):
+        for coef, radical in zip(self.coords, ("", "√2", "√3", "√6")):
             if not coef:
                 continue
             mag = abs(coef)
@@ -284,22 +296,39 @@ class FieldElem:
         return cls(coords[""], coords["2"], coords["3"], coords["6"])
 
 
+# A denominator needs a nonzero digit, so "1/0" is refused like any other
+# text the grammar does not cover.
 _TERM_RE = re.compile(
     r"\s*([+-])?\s*"
-    r"(?:\((\d+(?:/\d+)?)\)|(\d+(?:/\d+)?))?"
+    r"(?:\((\d+(?:/0*[1-9]\d*)?)\)|(\d+(?:/0*[1-9]\d*)?))?"
     r"\s*(?:√([236]))?\s*"
 )
 
 
-def _coerce(x: object) -> FieldElem | None:
+def coerce(x: object) -> FieldElem | None:
+    """x as a FieldElem if it is one, an int or a Fraction (not a bool), else None."""
     if isinstance(x, FieldElem):
         return x
-    if (isinstance(x, int) and not isinstance(x, bool)) or type(x) is Fraction:
-        return FieldElem._raw(Fraction(x), _F0, _F0, _F0)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return _reduced(int(x), 0, 0, 0, 1)
+    if type(x) is Fraction:
+        return _reduced(x.numerator, 0, 0, 0, x.denominator)
     return None
 
 
-_F0 = Fraction(0)
+_SET_V = FieldElem._v.__set__
+
+
+def _reduced(a: int, b: int, c: int, d: int, q: int) -> FieldElem:
+    """The element (a + b√2 + c√3 + d√6)/q, q > 0, in lowest terms."""
+    if q != 1:
+        g = math.gcd(a, b, c, d, q)
+        if g != 1:
+            a, b, c, d, q = a // g, b // g, c // g, d // g, q // g
+    elem = object.__new__(FieldElem)
+    _SET_V(elem, (a, b, c, d, q))
+    return elem
+
 
 ZERO = FieldElem(0)
 ONE = FieldElem(1)

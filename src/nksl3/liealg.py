@@ -20,9 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .exactfield import ONE, SQRT2, SQRT3, ZERO, FieldElem
-
-Scalar = FieldElem | int | Fraction
+from .exactfield import ONE, SQRT2, SQRT3, ZERO, FieldElem, coerce
 
 SUBSPACES: dict[str, tuple[int, ...]] = {
     "h": (7, 8),
@@ -31,14 +29,6 @@ SUBSPACES: dict[str, tuple[int, ...]] = {
     "m3": (5, 6),
     "m": (1, 2, 3, 4, 5, 6),
 }
-
-
-def _scalar(x: object) -> FieldElem | None:
-    if isinstance(x, FieldElem):
-        return x
-    if (isinstance(x, int) and not isinstance(x, bool)) or type(x) is Fraction:
-        return FieldElem(x)
-    return None
 
 
 class AlgMat:
@@ -51,7 +41,7 @@ class AlgMat:
         for row in rows:
             entries = []
             for entry in row:
-                value = _scalar(entry)
+                value = coerce(entry)
                 if value is None:
                     raise TypeError(f"matrix entry must be a field scalar, got {entry!r}")
                 entries.append(value)
@@ -114,7 +104,7 @@ class AlgMat:
         return AlgMat._raw(tuple(tuple(-a for a in row) for row in self._rows))
 
     def __mul__(self, other: object) -> "AlgMat":
-        value = _scalar(other)
+        value = coerce(other)
         if value is None:
             return NotImplemented
         return AlgMat._raw(tuple(tuple(a * value for a in row) for row in self._rows))
@@ -206,7 +196,7 @@ class _CoeffVec:
     def __init__(self, coeffs: Iterable[object]) -> None:
         converted = []
         for entry in coeffs:
-            value = _scalar(entry)
+            value = coerce(entry)
             if value is None:
                 raise TypeError(f"coefficient must be a field scalar, got {entry!r}")
             converted.append(value)
@@ -269,7 +259,7 @@ class _CoeffVec:
         return type(self)._raw(tuple(-a for a in self._coeffs))
 
     def __mul__(self, other: object):
-        value = _scalar(other)
+        value = coerce(other)
         if value is None:
             return NotImplemented
         return type(self)._raw(tuple(a * value for a in self._coeffs))
@@ -478,12 +468,6 @@ def structure_constants() -> tuple[tuple[tuple[FieldElem, ...], ...], ...]:
             row.append(decompose(bracket(_BASIS[i], _BASIS[j])).coeffs)
         table.append(tuple(row))
     return tuple(table)
-
-
-def structure_constants_strings() -> list[list[list[str]]]:
-    """The structure constant table rendered for JSON reports."""
-    return [[[str(entry) for entry in inner] for inner in row]
-            for row in structure_constants()]
 
 
 @cache

@@ -93,12 +93,6 @@ F = InvariantTensor("F", _matrix_from_images(
     {3: (4, 1), 4: (3, -1), 5: (6, -1), 6: (5, 1)}))
 P = J1.compose(J, name="J1J")
 
-TENSORS: dict[str, InvariantTensor] = {"J": J, "J1": J1, "F": F}
-
-
-def apply_tensor(tensor: InvariantTensor, x: MVec) -> MVec:
-    return tensor.apply(x)
-
 
 _HALF = Fraction(1, 2)
 

@@ -52,12 +52,6 @@ def test_uninstantiated_vector_raises():
         CaseCandidate(2).vector()
 
 
-def test_with_params():
-    filled = CaseCandidate(4).with_params(epsilon=-1, a=ONE, b=ZERO)
-    assert filled.instantiated
-    assert filled.vector() == _e(1) + _e(3) + _e(5) * 0 + _e(6) * 0
-
-
 def test_case_vectors_literal():
     half_sqrt2 = FieldElem(0, Fraction(1, 2))
     assert CaseCandidate(1).vector() == _e(1)

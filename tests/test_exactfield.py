@@ -173,3 +173,163 @@ def test_hash_consistency():
 def test_immutability():
     with pytest.raises(AttributeError):
         ONE.a = Fraction(2)
+
+
+# ------------------------------------------- integer-coordinate representation
+#
+# The reference below is the arithmetic on four Fraction coordinates that
+# the integer representation replaced; the two must agree exactly.
+
+def _ref_add(x, y):
+    return tuple(p + q for p, q in zip(x, y))
+
+
+def _ref_sub(x, y):
+    return tuple(p - q for p, q in zip(x, y))
+
+
+def _ref_mul(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _ref_inv(x):
+    a, b, c, d = x
+    t = _ref_mul(_ref_mul((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
+    n = _ref_mul(x, t)
+    assert not any(n[1:])
+    return tuple(p / n[0] for p in t)
+
+
+def _ref_sign_rat(q):
+    return (q > 0) - (q < 0)
+
+
+def _ref_sign_sqrt2(p, q):
+    if not q:
+        return _ref_sign_rat(p)
+    if not p:
+        return _ref_sign_rat(q)
+    sp = _ref_sign_rat(p)
+    if sp == _ref_sign_rat(q):
+        return sp
+    return sp * _ref_sign_rat(p * p - 2 * q * q)
+
+
+def _ref_sign(x):
+    a, b, c, d = x
+    if not (c or d):
+        return _ref_sign_sqrt2(a, b)
+    if not (a or b):
+        return _ref_sign_sqrt2(c, d)
+    su, sv = _ref_sign_sqrt2(a, b), _ref_sign_sqrt2(c, d)
+    if su == sv:
+        return su
+    return su * _ref_sign_sqrt2(a * a + 2 * b * b - 3 * (c * c + 2 * d * d),
+                                2 * a * b - 6 * c * d)
+
+
+def _ref_float(x):
+    a, b, c, d = x
+    return (float(a) + float(b) * math.sqrt(2.0) + float(c) * math.sqrt(3.0)
+            + float(d) * math.sqrt(6.0))
+
+
+def _ref_str(x):
+    parts = []
+    for coef, radical in zip(x, ("", "√2", "√3", "√6")):
+        if not coef:
+            continue
+        mag = abs(coef)
+        if not radical:
+            body = str(mag)
+        elif mag == 1:
+            body = radical
+        elif mag.denominator == 1:
+            body = f"{mag}{radical}"
+        else:
+            body = f"({mag}){radical}"
+        sign = ("" if coef > 0 else "-") if not parts else ("+ " if coef > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) if parts else "0"
+
+
+def _assert_reduced(x):
+    *nums, q = x._v
+    assert q > 0
+    assert math.gcd(*nums, q) == 1
+    if not any(nums):
+        assert x._v == (0, 0, 0, 0, 1)
+
+
+def _assert_matches(got, ref):
+    _assert_reduced(got)
+    assert got.coords == ref
+    assert str(got) == _ref_str(ref)
+    assert got.to_float().hex() == _ref_float(ref).hex()
+    assert got.sign() == _ref_sign(ref)
+
+
+def test_integer_arithmetic_matches_fraction_reference():
+    rng = random.Random(RNG_SEED + 6)
+    for i in range(500):
+        bound = (9, 10 ** 3, 10 ** 6)[i % 3]
+        x = random_element(rng, bound, bound, nonzero=True)
+        y = random_element(rng, bound, bound, nonzero=True)
+        rx, ry = x.coords, y.coords
+        _assert_matches(x, rx)
+        _assert_matches(x + y, _ref_add(rx, ry))
+        _assert_matches(x - y, _ref_sub(rx, ry))
+        _assert_matches(x * y, _ref_mul(rx, ry))
+        _assert_matches(x * y.a, _ref_mul(rx, (y.a, 0, 0, 0)))
+        _assert_matches(FieldElem(y.a) * x, _ref_mul((y.a, 0, 0, 0), rx))
+        _assert_matches(x.inv(), _ref_inv(rx))
+        _assert_matches(-x, tuple(-p for p in rx))
+        _assert_matches(x - x, (0, 0, 0, 0))
+        assert FieldElem.parse(str(x)) == x
+
+
+def test_equal_denominator_sums_are_reduced():
+    half = FieldElem(Fraction(1, 2), Fraction(1, 2), 0, Fraction(-1, 2))
+    total = half + half
+    _assert_reduced(total)
+    assert total == FieldElem(1, 1, 0, -1)
+    _assert_reduced(half - half)
+    _assert_reduced(half * 2)
+
+
+def test_inverse_has_positive_denominator():
+    # The norms of 2 + 2√2 + √6 and 1 + √2 + √3 are −92 and −8.
+    for x in (FieldElem(-3), FieldElem(2, 2, 0, 1), FieldElem(1, 1, 1),
+              FieldElem(-1, Fraction(1, 3), -1, 1), SQRT3 - 2):
+        _assert_reduced(x.inv())
+        assert x * x.inv() == ONE
+
+
+def test_hash_agrees_with_equal_rationals():
+    for value in (0, 1, -1, -2, 7, 10 ** 30, Fraction(1, 2), Fraction(-5, 7),
+                  Fraction(10 ** 20 + 1, 3)):
+        elem = FieldElem(value)
+        assert elem == value and hash(elem) == hash(value)
+        assert len({elem, value}) == 1
+    assert hash(SQRT2 * SQRT2) == hash(2) and {SQRT2 * SQRT2: "two"}[2] == "two"
+    assert len({FieldElem(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
+def test_hash_of_irrational_elements():
+    assert hash(SQRT2 * SQRT3) == hash(SQRT6)
+    assert len({SQRT6, SQRT2 * SQRT3, SQRT3 * SQRT2}) == 1
+    x = FieldElem(Fraction(1, 3), Fraction(2, 3))
+    assert hash(x) == hash(FieldElem.parse(str(x))) == hash(x + ZERO)
+    assert len({x, -x, x * 2, SQRT2, ONE}) == 5
+
+
+def test_parse_refuses_zero_denominator():
+    for text in ("1/0", "(1/0)√2", "1 + 3/00", "2/0√3"):
+        with pytest.raises(ValueError, match="cannot parse field element"):
+            FieldElem.parse(text)
+    assert FieldElem.parse("1/01") == ONE

@@ -15,7 +15,7 @@ from nksl3.liealg import (SUBSPACES, AlgMat, FullVec, MVec, ad_action,
                           ad_numeric, basis_matrix, bracket, coeff_bracket,
                           decompose, dphi, m_component, metric,
                           rotation_action_matrix, stabilizer_element,
-                          structure_constants, structure_constants_strings)
+                          structure_constants)
 from nksl3 import linalg
 
 RNG_SEED = 40
@@ -302,14 +302,6 @@ def test_structure_constants_match_brackets():
         assert FullVec(consts[i - 1][j - 1]) == expected
 
 
-def test_structure_constants_strings_render_entries():
-    rendered = structure_constants_strings()
-    assert len(rendered) == 8 and all(len(row) == 8 for row in rendered)
-    # [e1, e2] = 2 e8, so row 1, column 2 is zero except for "2" in slot 8.
-    assert rendered[0][1] == ["0"] * 7 + ["2"]
-    consts = structure_constants()
-    for i, j in itertools.product(range(8), repeat=2):
-        assert rendered[i][j] == [str(entry) for entry in consts[i][j]]
 
 
 def test_coeffvec_rendering():
@@ -323,3 +315,25 @@ def test_vector_length_guard():
         MVec([ONE] * 8)
     with pytest.raises(ValueError):
         FullVec([ONE] * 6)
+
+
+def test_int_and_fraction_scalars_match_field_scalars():
+    rng = random.Random(RNG_SEED + 9)
+    x = MVec(random_element(rng) for _ in range(6))
+    mat = x.to_matrix()
+    for scalar in (3, -1, Fraction(1, 2), Fraction(-7, 3)):
+        assert x * scalar == scalar * x == x * FieldElem(scalar)
+        assert mat * scalar == mat * FieldElem(scalar)
+    assert MVec([1, Fraction(1, 2), 0, 0, 0, 0]) == MVec(
+        [ONE, FieldElem(Fraction(1, 2)), ZERO, ZERO, ZERO, ZERO])
+
+
+def test_vectors_and_matrices_reject_float_scalars():
+    with pytest.raises(TypeError):
+        MVec.basis(1) * 0.5
+    with pytest.raises(TypeError):
+        AlgMat.identity() * 0.5
+    with pytest.raises(TypeError):
+        MVec([0.5, 0, 0, 0, 0, 0])
+    with pytest.raises(TypeError):
+        AlgMat([[0.5, 0, 0], [0, 0, 0], [0, 0, 0]])

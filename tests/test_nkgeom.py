@@ -13,10 +13,9 @@ from nksl3 import classify, cli, nkgeom
 from nksl3.exactfield import ONE, ZERO, FieldElem, random_element
 from nksl3.liealg import (MVec, bracket, m_component, metric,
                           rotation_action_matrix)
-from nksl3.nkgeom import (F, J, J1, P, TENSORS, DegeneratePlaneError,
-                          apply_tensor, curvature, curvature_oracle,
-                          einstein_constant, nabla, nabla_J, nabla_tensor,
-                          oracle_sign, ricci, sectional)
+from nksl3.nkgeom import (F, J, J1, P, DegeneratePlaneError, curvature,
+                          curvature_oracle, einstein_constant, nabla, nabla_J,
+                          nabla_tensor, oracle_sign, ricci, sectional)
 from nksl3.nkgeom import _five_term
 
 RNG_SEED = 77
@@ -108,11 +107,6 @@ def test_tensors_commute_with_stabilizer_action():
             s = rng.uniform(-3.0, 3.0)
             action = rotation_action_matrix(t, s)
             assert np.max(np.abs(mat @ action - action @ mat)) < 1e-12
-
-
-def test_apply_tensor_delegates():
-    assert apply_tensor(J, MVec.basis(1)) == J.apply(MVec.basis(1))
-    assert set(TENSORS) == {"J", "J1", "F"}
 
 
 # ------------------------------------------------- covariant derivative
