@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .exactfield import ONE, SQRT3, ZERO, FieldElem
-from .liealg import MVec, dphi, metric
+from .liealg import MVec, dphi
 from .nkgeom import J, curvature, curvature_components
 from .surfaces import generator
 
@@ -172,9 +172,6 @@ def curvature_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
                               for i, j, k, l, q in entries)
 
 
-# J has one ±1 entry per row: (JX)ᵢ = sign·X_source.
-_J_ROWS = tuple(next((j, int(entry.a)) for j, entry in enumerate(row) if entry)
-                for row in J.matrix)
 _ROW_TRIPLES = tuple(itertools.combinations(range(6), 3))
 
 
@@ -182,18 +179,23 @@ def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
     """Whether R(X, JX)JX ∈ span{X, JX} for a nonzero rational X, decided
     in integer arithmetic.
 
-    X is scaled to integers, JX is a signed permutation of it, and
-    V = D·R(X, JX)JX is an integer contraction with `curvature_table`.
-    J² = −Id has no real eigenvector, so X and JX are independent, and V
-    lies in their span exactly when all twenty 3×3 minors of [X | JX | V]
-    vanish.  `tangency_test` is the reference route this must agree with.
+    X is scaled to integers straight from the numerators and denominators
+    of its int or Fraction coordinates (a float raises TypeError), JX is the
+    signed permutation `J.rows` of it, and V = D·R(X, JX)JX is an integer
+    contraction with `curvature_table`.  J² = −Id has no real eigenvector,
+    so X and JX are independent, and V lies in their span exactly when all
+    twenty 3×3 minors of [X | JX | V] vanish.  `tangency_test` is the
+    reference route this must agree with.
     """
-    coords = [Fraction(c) for c in coords]
-    scale = math.lcm(*(c.denominator for c in coords))
-    x = [int(c * scale) for c in coords]
+    try:
+        scale = math.lcm(*(c.denominator for c in coords))
+    except AttributeError:
+        raise TypeError("the tangency test takes int or Fraction "
+                        f"coordinates, not {coords!r}") from None
+    x = [c.numerator * (scale // c.denominator) for c in coords]
     if not any(x):
         raise ValueError("the tangency test needs a nonzero vector")
-    jx = [sign * x[source] for source, sign in _J_ROWS]
+    jx = [sign * x[source] for source, sign in J.rows]
     v = [0] * 6
     for i, j, k, l, t in curvature_table()[1]:
         v[l] += t * x[i] * jx[j] * jx[k]
@@ -238,29 +240,23 @@ class GridSpec:
                              f"above the cap of {MAX_GRID_CELLS}")
         return grid
 
+    def _steps(self) -> tuple[range, range]:
+        """The step indices k of a = a_min + k·a_step (k ≥ 1, a ≤ a_max,
+        kept only when a > 0) and of b = b_min + k·b_step (k ≥ 0, b ≤ b_max)."""
+        a_first = max(1, -self.a_min // self.a_step + 1)
+        return (range(a_first, (self.a_max - self.a_min) // self.a_step + 1),
+                range((self.b_max - self.b_min) // self.b_step + 1))
+
     def a_values(self) -> Iterator[Fraction]:
-        value = self.a_min
-        while True:
-            value += self.a_step
-            if value > self.a_max:
-                return
-            if value > 0:
-                yield value
+        return (self.a_min + k * self.a_step for k in self._steps()[0])
 
     def b_values(self) -> Iterator[Fraction]:
-        value = self.b_min
-        while value <= self.b_max:
-            yield value
-            value += self.b_step
+        return (self.b_min + k * self.b_step for k in self._steps()[1])
 
     def cells(self) -> int:
-        """The number of cells `pin_case4` sweeps (both ε), counted in
-        integer arithmetic without iterating."""
-        # a = a_min + k·a_step for 1 ≤ k ≤ a_last, kept only when a > 0.
-        a_last = (self.a_max - self.a_min) // self.a_step
-        a_first = max(1, -self.a_min // self.a_step + 1)
-        b_count = (self.b_max - self.b_min) // self.b_step + 1
-        return 2 * max(0, a_last - a_first + 1) * max(0, b_count)
+        """The number of cells `pin_case4` sweeps (both ε)."""
+        a_steps, b_steps = self._steps()
+        return 2 * len(a_steps) * len(b_steps)
 
     def __str__(self) -> str:
         return (f"{self.a_min}:{self.a_max}:{self.a_step},"
@@ -311,9 +307,10 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     claimed = tangency_test(claimed_case4_point()).in_span
     cells = passes = 0
     unexpected: list[str] = []
+    b_values = tuple(grid.b_values())
     for epsilon in (-1, 1):
         for a in grid.a_values():
-            for b in grid.b_values():
+            for b in b_values:
                 cells += 1
                 if rational_tangency(case4_coords(epsilon, a, b)):
                     passes += 1
@@ -324,11 +321,11 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
                      tuple(unexpected), grid)
 
 
-_SURVIVOR_TABLE: tuple[tuple[str, CaseCandidate | None, str], ...] = (
+_SURVIVOR_TABLE: tuple[tuple[str, CaseCandidate, str], ...] = (
     ("1", CaseCandidate(1), "f1"),
     ("3+", CaseCandidate(3, epsilon=1), "f2"),
     ("3-", CaseCandidate(3, epsilon=-1), "f3"),
-    ("4", None, "f4"),   # placeholder; replaced by claimed_case4_point()
+    ("4", claimed_case4_point(), "f4"),
     ("5", CaseCandidate(5), "f5"),
 )
 
@@ -352,8 +349,6 @@ def match_survivors() -> dict[str, SurvivorMatch]:
     in a naturally reductive space."""
     matches: dict[str, SurvivorMatch] = {}
     for case_label, candidate, fid in _SURVIVOR_TABLE:
-        if candidate is None:
-            candidate = claimed_case4_point()
         x = candidate.vector()
         jx = J.apply(x)
         fx, fjx = generator(fid)
@@ -370,15 +365,6 @@ class EliminationReport:
     vector: MVec
     value: MVec
     eliminated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "representative": self.representative,
-            "vector": str(self.vector),
-            "value": str(self.value),
-            "eliminated": self.eliminated,
-        }
 
 
 def eliminate_case2() -> list[EliminationReport]:

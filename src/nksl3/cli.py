@@ -43,9 +43,11 @@ class CheckFailure(Exception):
     """Raised inside a check to fail it with a specific witness string."""
 
 
-def _require(condition: bool, witness: str) -> None:
+def _require(condition: bool, witness: str, *values: object) -> None:
+    """Fail the check with `witness`.  Given values, the witness is a
+    `str.format` template, filled in only when the check fails."""
     if not condition:
-        raise CheckFailure(witness)
+        raise CheckFailure(witness.format(*values) if values else witness)
 
 
 @dataclass(frozen=True)
@@ -132,10 +134,10 @@ def _field_checks(spec: SuiteSpec) -> list[Check]:
         rng = random.Random(spec.seed)
         for _ in range(spec.samples):
             x, y, z = (exactfield.random_element(rng) for _ in range(3))
-            _require((x + y) + z == x + (y + z), f"addition broke at {x}")
-            _require((x * y) * z == x * (y * z), f"multiplication broke at {x}")
-            _require(x * (y + z) == x * y + x * z, f"distributivity broke at {x}")
-            _require(x * y == y * x and x + y == y + x, f"commutativity broke at {x}")
+            _require((x + y) + z == x + (y + z), "addition broke at {}", x)
+            _require((x * y) * z == x * (y * z), "multiplication broke at {}", x)
+            _require(x * (y + z) == x * y + x * z, "distributivity broke at {}", x)
+            _require(x * y == y * x and x + y == y + x, "commutativity broke at {}", x)
         return f"{spec.samples} random triples, seed {spec.seed}, all exact"
 
     def inverse() -> str:
@@ -143,9 +145,9 @@ def _field_checks(spec: SuiteSpec) -> list[Check]:
         for _ in range(spec.samples):
             x = exactfield.random_element(rng, nonzero=True)
             y = exactfield.random_element(rng, nonzero=True)
-            _require(x * x.inv() == ONE, f"x*inv(x) != 1 at {x}")
+            _require(x * x.inv() == ONE, "x*inv(x) != 1 at {}", x)
             _require((x * y).inv() == x.inv() * y.inv(),
-                     f"inverse not multiplicative at {x}, {y}")
+                     "inverse not multiplicative at {}, {}", x, y)
         return f"{spec.samples} random nonzero pairs, seed {spec.seed}, all exact"
 
     def closure() -> str:
@@ -162,7 +164,7 @@ def _field_checks(spec: SuiteSpec) -> list[Check]:
         for _ in range(spec.samples):
             x = exactfield.random_element(rng, nonzero=True)
             float_sign = 1 if x.to_float() > 0 else -1
-            _require(x.sign() == float_sign, f"sign mismatch at {x}")
+            _require(x.sign() == float_sign, "sign mismatch at {}", x)
         _require(ZERO.sign() == 0, "sign(0) != 0")
         return f"{spec.samples} nonzero draws, seed {spec.seed}, signs agree"
 
@@ -170,7 +172,7 @@ def _field_checks(spec: SuiteSpec) -> list[Check]:
         rng = random.Random(spec.seed)
         for _ in range(spec.samples):
             x = exactfield.random_element(rng)
-            _require(FieldElem.parse(str(x)) == x, f"round trip broke at {x}")
+            _require(FieldElem.parse(str(x)) == x, "round trip broke at {}", x)
         return f"{spec.samples} elements, seed {spec.seed}, parse(str(x)) == x"
 
     return [
@@ -229,7 +231,7 @@ def _algebra_checks(spec: SuiteSpec) -> list[Check]:
         for _ in range(spec.samples):
             coeffs = FullVec(exactfield.random_element(rng) for _ in range(8))
             _require(decompose(coeffs.to_matrix()) == coeffs,
-                     f"round trip broke at {coeffs}")
+                     "round trip broke at {}", coeffs)
         return f"{spec.samples} random vectors, seed {spec.seed}, exact"
 
     def stabilizer_rotation() -> str:

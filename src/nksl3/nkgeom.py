@@ -8,8 +8,10 @@ the bracket-only oracle computes its values without them.
 J is the nearly Kähler almost complex structure, J₁ an auxiliary invariant
 complex structure on the same tangent space, and F the skew rotation that
 kills m₁ and rotates m₂ against m₃; the product J₁J is the involution that
-separates m₁ from m₂ ⊕ m₃.  All three act by 6×6 matrices with exact
-entries, precomputed once from their defining images.
+separates m₁ from m₂ ⊕ m₃.  Each sends every basis vector to ± a basis
+vector or to 0, so each is stored as a signed permutation of the
+coordinates, built once from its defining images; P = J₁J is composed from
+J₁ and J, not written out.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .exactfield import ONE, ZERO, FieldElem
+from .exactfield import ZERO, FieldElem
 from .liealg import FullVec, MVec, coeff_bracket, metric
 
 
@@ -27,55 +29,42 @@ class DegeneratePlaneError(ValueError):
 
 
 class InvariantTensor:
-    """A linear operator on the tangent space in exact matrix form."""
+    """A linear operator on the tangent space that sends each basis vector
+    to ± a basis vector or to 0, stored as a signed permutation: row i is
+    the pair (source, sign) with (TX)ᵢ = sign·X_source, sign 0 on a row the
+    operator kills."""
 
-    __slots__ = ("name", "matrix")
+    __slots__ = ("name", "rows")
 
-    def __init__(self, name: str, matrix: tuple[tuple[FieldElem, ...], ...]) -> None:
+    def __init__(self, name: str, rows: tuple[tuple[int, int], ...]) -> None:
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("InvariantTensor is immutable")
 
     def apply(self, x: MVec) -> MVec:
-        coeffs = [ZERO] * 6
-        for j, xj in enumerate(x.coeffs):
-            if not xj:
-                continue
-            for i in range(6):
-                entry = self.matrix[i][j]
-                if entry:
-                    coeffs[i] = coeffs[i] + entry * xj
-        return MVec(coeffs)
+        c = x.coeffs
+        return MVec._raw(tuple(c[source] if sign > 0 else -c[source] if sign else ZERO
+                               for source, sign in self.rows))
 
     def compose(self, other: "InvariantTensor", name: str | None = None) -> "InvariantTensor":
-        rows = tuple(
-            tuple(_dot(self.matrix[i], tuple(other.matrix[k][j] for k in range(6)))
-                  for j in range(6))
-            for i in range(6))
+        # Row i of T∘S is the row of S that T's row i reads, signs multiplied.
+        rows = tuple((other.rows[source][0], sign * other.rows[source][1])
+                     for source, sign in self.rows)
         return InvariantTensor(name or f"{self.name}{other.name}", rows)
 
     def __repr__(self) -> str:
         return f"InvariantTensor({self.name})"
 
 
-def _dot(row: tuple[FieldElem, ...], col: tuple[FieldElem, ...]) -> FieldElem:
-    acc = ZERO
-    for a, b in zip(row, col):
-        if a and b:
-            acc = acc + a * b
-    return acc
-
-
-def _matrix_from_images(images: dict[int, tuple[int, int]]) -> tuple[tuple[FieldElem, ...], ...]:
-    columns: dict[int, tuple[int, FieldElem]] = {
-        src: (dst, ONE if sign > 0 else -ONE) for src, (dst, sign) in images.items()
-    }
-    rows = [[ZERO] * 6 for _ in range(6)]
-    for src, (dst, value) in columns.items():
-        rows[dst - 1][src - 1] = value
-    return tuple(tuple(row) for row in rows)
+def _from_images(name: str, images: dict[int, tuple[int, int]]) -> InvariantTensor:
+    # images[src] = (dst, sign) means T e_src = sign·e_dst; a basis vector
+    # with no image is killed.
+    rows = [(i, 0) for i in range(6)]
+    for src, (dst, sign) in images.items():
+        rows[dst - 1] = (src - 1, sign)
+    return InvariantTensor(name, tuple(rows))
 
 
 def _complex_structure(name: str, images: dict[int, tuple[int, int]]) -> InvariantTensor:
@@ -84,13 +73,12 @@ def _complex_structure(name: str, images: dict[int, tuple[int, int]]) -> Invaria
     full = dict(images)
     for src, (dst, sign) in images.items():
         full[dst] = (src, -sign)
-    return InvariantTensor(name, _matrix_from_images(full))
+    return _from_images(name, full)
 
 
 J = _complex_structure("J", {1: (2, -1), 3: (4, 1), 5: (6, 1)})
 J1 = _complex_structure("J1", {1: (2, 1), 3: (4, 1), 5: (6, 1)})
-F = InvariantTensor("F", _matrix_from_images(
-    {3: (4, 1), 4: (3, -1), 5: (6, -1), 6: (5, 1)}))
+F = _from_images("F", {3: (4, 1), 4: (3, -1), 5: (6, -1), 6: (5, 1)})
 P = J1.compose(J, name="J1J")
 
 

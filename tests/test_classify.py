@@ -279,6 +279,19 @@ def test_rational_tangency_rejects_zero():
         rational_tangency((0, 0, 0, 0, 0, 0))
 
 
+def test_rational_tangency_refuses_floats_and_scales_fractions():
+    # Fraction(0.1) is the binary expansion of 0.1, not 1/10
+    with pytest.raises(TypeError):
+        rational_tangency((Fraction(1, 10), 0, 0.1, 0, 0, 0))
+    for coords in ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, -1, 0),
+                   (1, 0, 1, 0, 0, 0), (2, 0, 1, 0, 3, -1)):
+        scaled = tuple(Fraction(c, 7) for c in coords)
+        mixed = (Fraction(coords[0], 3), *coords[1:])
+        assert rational_tangency(scaled) == rational_tangency(coords)
+        assert rational_tangency(mixed) == rational_tangency(
+            (coords[0], *(3 * c for c in coords[1:])))
+
+
 def test_rational_tangency_agrees_with_tangency_test_on_grid_sample():
     rng = random.Random(RNG_SEED + 2)
     grid = GridSpec()

@@ -3,14 +3,21 @@ and process exit codes."""
 
 import json
 import math
+import pathlib
+import random
+import re
 
 import pytest
 
-from nksl3 import cli, nkgeom
+from nksl3 import cli, exactfield, nkgeom
+from nksl3.exactfield import ONE, FieldElem
 from nksl3.liealg import MVec
 from nksl3.classify import GridSpec
 
 COARSE_GRID = "0:1:1/2,-1:1:1/2"
+GOLDEN_ALL = pathlib.Path(__file__).parent / "data" / "all_seed0.json"
+# float deviations hang on the libm and numpy build, not on the program
+_DEVIATION = re.compile(r"\d\.\d{3}e[+-]\d+")
 
 
 def _spec(suite, **kwargs):
@@ -52,6 +59,24 @@ def test_all_suite_is_the_union():
     assert len(names) == parts
 
 
+def _golden_text(payload):
+    payload.pop("elapsed_ms", None)
+    for record in payload["checks"]:
+        if (record["name"] == "algebra.stabilizer_rotation"
+                or record["name"].startswith("examples.")):
+            record["witness"] = _DEVIATION.sub("<deviation>", record["witness"])
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def test_all_report_matches_the_golden_report():
+    # `nksl3 all --seed 0` with default flags, byte for byte apart from
+    # elapsed_ms and the float deviations; a deliberate witness change
+    # regenerates tests/data/all_seed0.json
+    report = cli.run(cli.SuiteSpec("all", seed=0))
+    golden = json.loads(GOLDEN_ALL.read_text(encoding="utf-8"))
+    assert _golden_text(json.loads(report.to_json())) == _golden_text(golden)
+
+
 def test_checks_sorted_by_name():
     report = cli.run(_spec("algebra"))
     names = [record.name for record in report.checks]
@@ -76,6 +101,34 @@ def test_failing_check_is_reported_not_raised():
     assert failed
     assert not report.passed
     assert any("deviation" in record.witness for record in failed)
+
+
+def test_sample_witness_is_rendered_only_on_failure(monkeypatch):
+    renders = []
+    original_str = FieldElem.__str__
+
+    def counted_str(self):
+        renders.append(self)
+        return original_str(self)
+
+    monkeypatch.setattr(FieldElem, "__str__", counted_str)
+    assert cli.run(_spec("field", seed=4)).passed
+    assert len(renders) == 10  # parse_roundtrip's own str(x), once a sample
+
+    # a broken inverse fails on the first draw, named exactly as before
+    x = exactfield.random_element(random.Random(4), nonzero=True)
+    assert x * x != ONE
+    monkeypatch.setattr(FieldElem, "inv", lambda self: self)
+    records = {r.name: r for r in cli.run(_spec("field", seed=4)).checks}
+    assert records["field.inverse"].witness == f"x*inv(x) != 1 at {x}"
+
+
+def test_certificate_witness_is_not_a_format_template():
+    # the examples witness embeds a dict, braces and all
+    failed = [r for r in cli.run(_spec("examples", tol=1e-30)).checks
+              if not r.passed]
+    assert failed
+    assert all(r.witness.startswith("certificate failed: {'") for r in failed)
 
 
 def test_json_schema():

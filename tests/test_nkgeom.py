@@ -100,8 +100,9 @@ def test_tensor_skewness():
 def test_tensors_commute_with_stabilizer_action():
     rng = random.Random(RNG_SEED + 1)
     for tensor in (J, J1, F, P):
-        mat = np.array([[entry.to_float() for entry in row]
-                        for row in tensor.matrix])
+        columns = [tensor.apply(MVec.basis(j)) for j in M_INDICES]
+        mat = np.array([[entry.to_float() for entry in column.coeffs]
+                        for column in columns]).T
         for _ in range(20):
             t = rng.uniform(-1.0, 1.0)
             s = rng.uniform(-3.0, 3.0)
