@@ -172,6 +172,20 @@ def curvature_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
                               for i, j, k, l, q in entries)
 
 
+@cache
+def tangency_form() -> tuple[tuple[int, int, int, int, int], ...]:
+    """V = D·R(X, JX)JX as a cubic form: terms (l, p, q, r, c), p ≤ q ≤ r,
+    with Vₗ = Σ c·xₚ·x_q·xᵣ.  JX is the signed permutation `J.rows` of X, so
+    `curvature_table` entry (i, j, k, l, t) folds onto xᵢ·x_src(j)·x_src(k)
+    with coefficient t·sign(j)·sign(k); like terms summed, zeros dropped."""
+    terms: dict[tuple[int, ...], int] = {}
+    for i, j, k, l, t in curvature_table()[1]:
+        (src_j, sign_j), (src_k, sign_k) = J.rows[j], J.rows[k]
+        key = (l, *sorted((i, src_j, src_k)))
+        terms[key] = terms.get(key, 0) + t * sign_j * sign_k
+    return tuple((*key, c) for key, c in sorted(terms.items()) if c)
+
+
 _ROW_TRIPLES = tuple(itertools.combinations(range(6), 3))
 
 
@@ -181,8 +195,8 @@ def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
 
     X is scaled to integers straight from the numerators and denominators
     of its int or Fraction coordinates (a float raises TypeError), JX is the
-    signed permutation `J.rows` of it, and V = D·R(X, JX)JX is an integer
-    contraction with `curvature_table`.  J² = −Id has no real eigenvector,
+    signed permutation `J.rows` of it, and V = D·R(X, JX)JX is the cubic
+    form `tangency_form` evaluated at X.  J² = −Id has no real eigenvector,
     so X and JX are independent, and V lies in their span exactly when all
     twenty 3×3 minors of [X | JX | V] vanish.  `tangency_test` is the
     reference route this must agree with.
@@ -197,8 +211,8 @@ def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
         raise ValueError("the tangency test needs a nonzero vector")
     jx = [sign * x[source] for source, sign in J.rows]
     v = [0] * 6
-    for i, j, k, l, t in curvature_table()[1]:
-        v[l] += t * x[i] * jx[j] * jx[k]
+    for l, p, q, r, c in tangency_form():
+        v[l] += c * x[p] * x[q] * x[r]
     for r, s, t in _ROW_TRIPLES:
         if (x[r] * (jx[s] * v[t] - jx[t] * v[s])
                 - x[s] * (jx[r] * v[t] - jx[t] * v[r])
@@ -298,8 +312,8 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
 
     The claimed point is irrational and goes through `tangency_test` over
     the field.  Every grid cell is rational, so the sweep uses the integer
-    kernel `rational_tangency`: a cell passes only when all twenty 3×3
-    minors of [X | JX | R(X, JX)JX] vanish.
+    kernel `rational_tangency` on the cubic form `tangency_form`: a cell
+    passes only when all twenty 3×3 minors of [X | JX | R(X, JX)JX] vanish.
 
     Grid evidence, not a proof of uniqueness.
     """
@@ -310,9 +324,10 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     b_values = tuple(grid.b_values())
     for epsilon in (-1, 1):
         for a in grid.a_values():
+            head = case4_coords(epsilon, a, 0)[:5]
             for b in b_values:
                 cells += 1
-                if rational_tangency(case4_coords(epsilon, a, b)):
+                if rational_tangency((*head, b)):
                     passes += 1
                     unexpected.append(CaseCandidate(
                         4, epsilon=epsilon, a=FieldElem(a),

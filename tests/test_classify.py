@@ -11,7 +11,7 @@ from nksl3.classify import (CaseCandidate, GridSpec, candidates,
                             case4_coords, claimed_case4_point,
                             curvature_table, eliminate_case2, in_span,
                             match_survivors, pin_case4, rational_tangency,
-                            tangency_test)
+                            tangency_form, tangency_test)
 from nksl3.exactfield import ONE, SQRT3, ZERO, FieldElem
 from nksl3.liealg import MVec, dphi, metric
 from nksl3.nkgeom import J, curvature
@@ -262,6 +262,40 @@ def test_curvature_table_reproduces_curvature_on_basis_triples():
     for i, j, k in itertools.product(range(6), repeat=3):
         expected = curvature(_e(i + 1), _e(j + 1), _e(k + 1))
         assert MVec(rebuilt.get((i, j, k), [0] * 6)) == expected, (i, j, k)
+
+
+def _form_value(coords):
+    v = [0] * 6
+    for l, p, q, r, c in tangency_form():
+        v[l] += c * coords[p] * coords[q] * coords[r]
+    return v
+
+
+def test_tangency_form_is_the_folded_table():
+    form = tangency_form()
+    assert len(form) == 28
+    assert all(c for *_, c in form)
+    keys = [(l, p, q, r) for l, p, q, r, _ in form]
+    assert len(set(keys)) == len(keys)
+    assert all(p <= q <= r for _, p, q, r in keys)
+
+
+def test_tangency_form_equals_scaled_curvature():
+    # V = D·R(X, JX)JX coordinate by coordinate, on the basis and on dense
+    # rational X, where every monomial of the form is nonzero
+    denominator = curvature_table()[0]
+    rng = random.Random(RNG_SEED + 5)
+    points = [tuple(int(n == m) for n in range(6)) for m in range(6)]
+    for _ in range(20):
+        points.append(tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                                     rng.randint(1, 9)) for _ in range(6)))
+    for coords in points:
+        x = MVec(coords)
+        jx = J.apply(x)
+        expected = curvature(x, jx, jx) * denominator
+        got = _form_value(coords)
+        for l in range(6):
+            assert FieldElem(got[l]) == expected[l], (coords, l)
 
 
 def test_rational_tangency_survivors_and_case2():

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from nksl3 import cli, exactfield, nkgeom
+from nksl3 import cli, exactfield, liealg, nkgeom
 from nksl3.exactfield import ONE, FieldElem
 from nksl3.liealg import MVec
 from nksl3.classify import GridSpec
@@ -291,3 +291,19 @@ def test_oracle_agreement_fails_when_routes_disagree(monkeypatch):
     agreement = records["curvature.oracle_agreement"]
     assert not agreement.passed
     assert "no single sign convention" in agreement.witness
+
+
+@pytest.mark.parametrize("pairs, witness", [
+    ({(0, 2)}, "bracket not antisymmetric at (1, 3)"),
+    ({(0, 1), (1, 0)}, "Jacobi broke at (1, 2, 3)"),
+])
+def test_jacobi_check_fails_on_a_broken_table(monkeypatch, pairs, witness):
+    # flipping [e1, e3] alone breaks antisymmetry; flipping both orders of
+    # [e1, e2] keeps it and breaks the Jacobi identity
+    flipped = tuple((i, j, tuple((k, -c) for k, c in terms)
+                     if (i, j) in pairs else terms)
+                    for i, j, terms in liealg._bracket_terms())
+    monkeypatch.setattr(liealg, "_bracket_terms", lambda: flipped)
+    records = {r.name: r for r in cli.run(_spec("algebra")).checks}
+    assert records["algebra.jacobi"].witness == witness
+    assert not records["algebra.jacobi"].passed
