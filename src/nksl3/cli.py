@@ -273,7 +273,7 @@ def _algebra_checks(spec: SuiteSpec) -> list[Check]:
         ("algebra.bracket_table", "commutators of the traceless basis", bracket_table),
         ("algebra.decompose_roundtrip", "coordinates against the dual basis", decompose_roundtrip),
         ("algebra.dphi", "transpose-inverse symmetry of the tangent space", dphi_properties),
-        ("algebra.jacobi", "Jacobi identity for the matrix bracket", jacobi),
+        ("algebra.jacobi", "Jacobi identity for the structure-constant bracket", jacobi),
         ("algebra.metric_signature", "index of the invariant metric", metric_signature),
         ("algebra.natural_reductivity", "associativity of the metric with the bracket", natural_reductivity),
         ("algebra.stabilizer_rotation", "closed-form stabilizer action", stabilizer_rotation),

@@ -341,8 +341,9 @@ def random_element(rng, max_numerator: int = 9, max_denominator: int = 9,
                    nonzero: bool = False) -> FieldElem:
     """Draw a small random element; used by the randomized identity sweeps."""
     while True:
-        elem = FieldElem(*(Fraction(rng.randint(-max_numerator, max_numerator),
-                                    rng.randint(1, max_denominator))
-                           for _ in range(4)))
+        pairs = [(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator))
+                 for _ in range(4)]
+        q = math.lcm(*(d for _, d in pairs))
+        elem = _reduced(*(n * (q // d) for n, d in pairs), q)
         if elem or not nonzero:
             return elem

@@ -413,13 +413,18 @@ def stabilizer_element(t: float, s: float) -> np.ndarray:
 
 
 @cache
-def _basis_float() -> np.ndarray:
+def basis_float() -> np.ndarray:
+    """The basis matrices e₁..e₈ as an 8×3×3 float array."""
     return np.array([mat.to_float() for mat in _BASIS])
 
 
 @cache
-def _gram_inverse_float() -> np.ndarray:
-    return np.array([[entry.to_float() for entry in row] for row in _gram_inverse(8)])
+def _dual_float() -> np.ndarray:
+    # Row i reads the eᵢ₊₁ coefficient (i < 6) of a flattened traceless X
+    # as G⁻¹ · (⟨eⱼ, X⟩)ⱼ, where ⟨eⱼ, X⟩ = −½·tr(eⱼX) = −½·vec(eⱼᵀ)·vec(X).
+    inverse = np.array([[entry.to_float() for entry in row] for row in _gram_inverse(8)])
+    pairing = -0.5 * basis_float().transpose(0, 2, 1).reshape(8, 9)
+    return (inverse @ pairing)[:6]
 
 
 def ad_numeric(t: float, s: float, x: MVec) -> np.ndarray:
@@ -428,13 +433,9 @@ def ad_numeric(t: float, s: float, x: MVec) -> np.ndarray:
     Conjugation by the stabilizer preserves the tangent space, so the
     e₇, e₈ coefficients of the result vanish and are dropped.
     """
-    h = stabilizer_element(t, s)
-    h_inv = stabilizer_element(-t, -s)
-    conjugated = h @ x.to_matrix().to_float() @ h_inv
-    basis = _basis_float()
-    pairings = np.array([-0.5 * np.trace(basis[j] @ conjugated) for j in range(8)])
-    coeffs = _gram_inverse_float() @ pairings
-    return coeffs[:6]
+    matrix = np.tensordot([c.to_float() for c in x.coeffs], basis_float()[:6], 1)
+    conjugated = stabilizer_element(t, s) @ matrix @ stabilizer_element(-t, -s)
+    return _dual_float() @ conjugated.reshape(9)
 
 
 def rotation_action_matrix(t: float, s: float) -> np.ndarray:

@@ -3,7 +3,9 @@ and the curvature tensor of the naturally reductive metric.
 
 R(X, Y)Z is contracted from the basis components R(eᵢ, eⱼ)eₖ.  Each basis
 triple is computed once, on first use, by the five-term invariant formula;
-the bracket-only oracle computes its values without them.
+the bracket-only oracle computes its values without them.  The Ricci
+tensor is the trace of those components over the first slot, read off
+without the metric.
 
 J is the nearly Kähler almost complex structure, J₁ an auxiliary invariant
 complex structure on the same tangent space, and F the skew rotation that
@@ -19,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from . import linalg
 from .exactfield import ZERO, FieldElem
 from .liealg import FullVec, MVec, coeff_bracket, metric
 
@@ -161,35 +162,24 @@ def oracle_sign() -> int:
 
     Exactly one global sign must reconcile the invariant expression with
     the naturally reductive curvature on every basis triple; anything else
-    is a hard failure.
+    is a hard failure.  Both signs fit only when every value is zero, so a
+    nonzero oracle value is required.
     """
     basis = [MVec.basis(i) for i in range(1, 7)]
-    plus = minus = True
-    seen_nonzero = False
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                expected = curvature(x, y, z)
-                raw = _oracle_raw(x, y, z)
-                if expected or raw:
-                    seen_nonzero = True
-                if raw != expected:
-                    plus = False
-                if -raw != expected:
-                    minus = False
-        if not plus and not minus:
-            break
-    if not seen_nonzero or plus == minus:
-        raise RuntimeError("no single sign convention reconciles the curvature routes")
-    return 1 if plus else -1
+    pairs = [(curvature(x, y, z), _oracle_raw(x, y, z))
+             for x in basis for y in basis for z in basis]
+    if any(raw for _, raw in pairs):
+        for sign in (1, -1):
+            if all(raw * sign == expected for expected, raw in pairs):
+                return sign
+    raise RuntimeError("no single sign convention reconciles the curvature routes")
 
 
 def curvature_oracle(x: MVec, y: MVec, z: MVec) -> MVec:
     """R(X, Y)Z computed from brackets alone:
     ∇_X∇_Y Z − ∇_Y∇_X Z − ∇_{[X,Y]_m} Z − [[X, Y]_h, Z], up to the one
     resolved sign."""
-    raw = _oracle_raw(x, y, z)
-    return raw if oracle_sign() > 0 else -raw
+    return _oracle_raw(x, y, z) * oracle_sign()
 
 
 def sectional(x: MVec, y: MVec) -> FieldElem:
@@ -202,24 +192,12 @@ def sectional(x: MVec, y: MVec) -> FieldElem:
 
 @cache
 def ricci() -> tuple[tuple[FieldElem, ...], ...]:
-    """Ric(Y, Z) as the metric trace of X ↦ R(X, Y)Z over the tangent basis."""
-    basis = [MVec.basis(i) for i in range(1, 7)]
-    gram = [[metric(u, v) for v in basis] for u in basis]
-    inverse = linalg.invert(gram)
-    rows = []
-    for y in basis:
-        row = []
-        for z in basis:
-            values = [curvature(e, y, z) for e in basis]
-            acc = ZERO
-            for i in range(6):
-                for j in range(6):
-                    g = inverse[i][j]
-                    if g:
-                        acc = acc + g * metric(values[i], basis[j])
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Ric(Y, Z) as the trace of X ↦ R(X, Y)Z: entry (y, z) sums the eᵢ
+    coefficient of R(eᵢ, e_y)e_z over the tangent basis."""
+    return tuple(tuple(sum((c for i in range(6)
+                            for l, c in curvature_components(i, y, z) if l == i), ZERO)
+                       for z in range(6))
+                 for y in range(6))
 
 
 def einstein_constant() -> FieldElem:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .exactfield import SQRT2, SQRT3, FieldElem
-from .liealg import (FullVec, MVec, basis_matrix, coeff_bracket, metric,
+from .liealg import (FullVec, MVec, basis_float, coeff_bracket, metric,
                      stabilizer_element)
 from .nkgeom import J, sectional
 
@@ -52,8 +52,6 @@ def _mvec(*pairs: tuple[int, FieldElem | int | Fraction]) -> MVec:
         coeffs[index - 1] = value
     return MVec(coeffs)
 
-
-_E_FLOAT = [basis_matrix(i).to_float() for i in range(1, 9)]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -142,9 +140,10 @@ def _build_families() -> dict[str, SurfaceFamily]:
                              closed, argument, u_range, v_range)
 
     two_pi = 2.0 * math.pi
+    e = basis_float()
     families = [
         fam("f1", "SL(2,R)", x1, (0, 2, 0), FieldElem(4), _closed_f1,
-            _polar_argument(_E_FLOAT[0], _E_FLOAT[1], 1.0),
+            _polar_argument(e[0], e[1], 1.0),
             (-2.0, 2.0), (0.0, two_pi)),
         fam("f2", "SO(3)", x2, (2, 0, 0), FieldElem(1), _closed_f2,
             _polar_argument(x2.to_matrix().to_float(),
@@ -162,7 +161,7 @@ def _build_families() -> dict[str, SurfaceFamily]:
                              J.apply(x4).to_matrix().to_float()),
             (-2.0, 2.0), (-2.0, 2.0)),
         fam("f5", "R2-degenerate", x5, (0, 0, 2), None, _closed_f5,
-            _linear_argument(_INV_SQRT2 * _E_FLOAT[2], _INV_SQRT2 * _E_FLOAT[3]),
+            _linear_argument(_INV_SQRT2 * e[2], _INV_SQRT2 * e[3]),
             (-3.0, 3.0), (-3.0, 3.0)),
     ]
     return {family.id: family for family in families}

@@ -293,6 +293,27 @@ def test_integer_arithmetic_matches_fraction_reference():
         assert FieldElem.parse(str(x)) == x
 
 
+def _ref_random_coords(rng, max_numerator, max_denominator, nonzero):
+    while True:
+        coords = tuple(Fraction(rng.randint(-max_numerator, max_numerator),
+                                rng.randint(1, max_denominator)) for _ in range(4))
+        if any(coords) or not nonzero:
+            return coords
+
+
+@pytest.mark.parametrize("nonzero", [False, True])
+@pytest.mark.parametrize("bound", [1, 9, 10 ** 3, 10 ** 6])
+def test_random_element_draws_match_fraction_reference(bound, nonzero):
+    # bound 1 draws zero often enough to exercise the nonzero retry
+    rng, twin = random.Random(RNG_SEED + 7), random.Random(RNG_SEED + 7)
+    for _ in range(300):
+        x = random_element(rng, bound, bound, nonzero)
+        ref = _ref_random_coords(twin, bound, bound, nonzero)
+        assert x._v == FieldElem(*ref)._v
+        _assert_reduced(x)
+    assert rng.getstate() == twin.getstate()
+
+
 def test_equal_denominator_sums_are_reduced():
     half = FieldElem(Fraction(1, 2), Fraction(1, 2), 0, Fraction(-1, 2))
     total = half + half

@@ -178,6 +178,32 @@ def test_oracle_sign_is_direct():
     assert oracle_sign() == 1
 
 
+@pytest.fixture
+def fresh_oracle_sign():
+    nkgeom.oracle_sign.cache_clear()
+    yield
+    nkgeom.oracle_sign.cache_clear()
+
+
+def test_oracle_sign_follows_a_negated_oracle(monkeypatch, fresh_oracle_sign):
+    original = nkgeom._oracle_raw
+    monkeypatch.setattr(nkgeom, "_oracle_raw", lambda x, y, z: -original(x, y, z))
+    assert oracle_sign() == -1
+    for x, y, z in itertools.product(_basis(), repeat=3):
+        assert curvature_oracle(x, y, z) == curvature(x, y, z)
+
+
+@pytest.mark.parametrize("zero_curvature", [False, True])
+def test_oracle_sign_refuses_an_all_zero_oracle(monkeypatch, fresh_oracle_sign,
+                                                zero_curvature):
+    monkeypatch.setattr(nkgeom, "_oracle_raw", lambda x, y, z: MVec.zero())
+    if zero_curvature:
+        # every value zero: both signs fit, so neither may be chosen
+        monkeypatch.setattr(nkgeom, "curvature", lambda x, y, z: MVec.zero())
+    with pytest.raises(RuntimeError, match="no single sign convention"):
+        oracle_sign()
+
+
 def test_curvature_agrees_with_oracle_exhaustive():
     for i, j, k in itertools.product(M_INDICES, repeat=3):
         x, y, z = (MVec.basis(n) for n in (i, j, k))
