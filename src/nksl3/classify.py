@@ -237,6 +237,10 @@ class GridSpec:
     b_max: Fraction = Fraction(3)
     b_step: Fraction = Fraction(1, 20)
 
+    def __post_init__(self) -> None:
+        if self.a_step <= 0 or self.b_step <= 0:
+            raise ValueError("grid steps must be positive")
+
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
         try:
@@ -246,8 +250,6 @@ class GridSpec:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad grid spec {text!r}; expected "
                              "'amin:amax:astep,bmin:bmax:bstep'") from exc
-        if a_step <= 0 or b_step <= 0:
-            raise ValueError("grid steps must be positive")
         grid = cls(a_min, a_max, a_step, b_min, b_max, b_step)
         if grid.cells() > MAX_GRID_CELLS:
             raise ValueError(f"grid {text!r} has {grid.cells()} cells, "
@@ -293,7 +295,7 @@ class PinReport:
 
     @property
     def ok(self) -> bool:
-        return self.claimed_point_passes and not self.unexpected_passes
+        return self.claimed_point_passes and self.cells > 0 and not self.unexpected_passes
 
     def to_dict(self) -> dict:
         return {

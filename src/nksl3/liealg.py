@@ -4,7 +4,8 @@ reductive splitting g = h ⊕ m₁ ⊕ m₂ ⊕ m₃.
 h = span{e₇, e₈} is the isotropy algebra of the stabilizer R × SO(2); the
 three two-dimensional blocks m₁, m₂, m₃ fill out the tangent space
 m = m₁ ⊕ m₂ ⊕ m₃.  The invariant metric is ⟨X, Y⟩ = −½·tr(XY).  Structure
-constants, component Gram matrices and dual bases are computed from the
+constants, component Gram matrices and the one dual basis, through which
+exact and float matrix coordinates are read, are computed once from the
 basis matrices, never transcribed.  The matrix `bracket` is the definition
 and the reference route; every working bracket, `coeff_bracket`, is
 contracted from the structure constants without a 3×3 product.
@@ -346,18 +347,10 @@ def _gram_sparse(size: int) -> tuple[tuple[int, int, FieldElem], ...]:
                  for j, entry in enumerate(row) if entry)
 
 
-@cache
-def _gram_inverse(size: int) -> tuple[tuple[FieldElem, ...], ...]:
-    inverse = linalg.invert([list(row) for row in _gram(size)])
-    return tuple(tuple(row) for row in inverse)
-
-
 def metric(x: AlgMat | MVec | FullVec, y: AlgMat | MVec | FullVec) -> FieldElem:
-    """The invariant trace form ⟨X, Y⟩ = −½·tr(XY)."""
-    if isinstance(x, AlgMat) or isinstance(y, AlgMat):
-        xm = x if isinstance(x, AlgMat) else x.to_matrix()
-        ym = y if isinstance(y, AlgMat) else y.to_matrix()
-        return _MINUS_HALF * _trace_product(xm, ym)
+    """The invariant trace form ⟨X, Y⟩ = −½·tr(XY), on matrices or on vectors."""
+    if isinstance(x, AlgMat):
+        return _MINUS_HALF * _trace_product(x, y)
     if type(x) is not type(y):
         x, y = x.to_full(), y.to_full()
     xc, yc = x.coeffs, y.coeffs
@@ -369,25 +362,26 @@ def metric(x: AlgMat | MVec | FullVec, y: AlgMat | MVec | FullVec) -> FieldElem:
     return acc
 
 
-def decompose(x: AlgMat) -> FullVec:
-    """Coefficients of a traceless matrix over (e₁, …, e₈).
+@cache
+def _dual() -> tuple[tuple[tuple[int, int, FieldElem], ...], ...]:
+    """The dual basis as matrix entries: row i lists the nonzero (r, c, w)
+    with eᵢ₊₁-coefficient(X) = Σ w·X[r][c] for traceless X, read off
+    coeffs = G⁻¹ · (⟨eⱼ, X⟩)ⱼ with ⟨eⱼ, X⟩ = −½·Σ eⱼ[c][r]·X[r][c]."""
+    inverse = linalg.invert([list(row) for row in _gram(8)])
+    return tuple(
+        tuple((r, c, w) for r in range(3) for c in range(3)
+              if (w := _MINUS_HALF * sum((g * e[c, r] for g, e in zip(row, _BASIS)),
+                                         ZERO)))
+        for row in inverse)
 
-    The trace form is nondegenerate, so the coefficients come from pairing
-    with the dual basis: coeffs = G⁻¹ · (⟨eⱼ, X⟩)ⱼ.
-    """
+
+def decompose(x: AlgMat) -> FullVec:
+    """Coefficients of a traceless matrix over (e₁, …, e₈), read through `_dual`."""
     if x.trace():
         raise ValueError("matrix has nonzero trace, not in the algebra")
-    pairings = [metric(_BASIS[j], x) for j in range(8)]
-    inverse = _gram_inverse(8)
-    coeffs = []
-    for i in range(8):
-        acc = ZERO
-        for j in range(8):
-            g = inverse[i][j]
-            if g and pairings[j]:
-                acc = acc + g * pairings[j]
-        coeffs.append(acc)
-    return FullVec._raw(tuple(coeffs))
+    rows = x.rows
+    return FullVec._raw(tuple(sum((w * rows[r][c] for r, c, w in entries), ZERO)
+                              for entries in _dual()))
 
 
 def m_component(x: AlgMat) -> MVec:
@@ -420,11 +414,12 @@ def basis_float() -> np.ndarray:
 
 @cache
 def _dual_float() -> np.ndarray:
-    # Row i reads the eᵢ₊₁ coefficient (i < 6) of a flattened traceless X
-    # as G⁻¹ · (⟨eⱼ, X⟩)ⱼ, where ⟨eⱼ, X⟩ = −½·tr(eⱼX) = −½·vec(eⱼᵀ)·vec(X).
-    inverse = np.array([[entry.to_float() for entry in row] for row in _gram_inverse(8)])
-    pairing = -0.5 * basis_float().transpose(0, 2, 1).reshape(8, 9)
-    return (inverse @ pairing)[:6]
+    # Rows e₁..e₆ of `_dual`, read against a flattened X.
+    dual = np.zeros((6, 9))
+    for i, entries in enumerate(_dual()[:6]):
+        for r, c, w in entries:
+            dual[i, 3 * r + c] = w.to_float()
+    return dual
 
 
 def ad_numeric(t: float, s: float, x: MVec) -> np.ndarray:

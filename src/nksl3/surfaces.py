@@ -252,6 +252,8 @@ def exp_check(fid: str, samples: int = 100, tol: float = 1e-8,
     form on seeded random (u, v), as cosets."""
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     fam = family(fid)
     rng = random.Random(seed)
     max_dev = 0.0

@@ -195,6 +195,16 @@ def test_grid_spec_rejects_nonsense():
         GridSpec.parse("0:3:-1,-3:3:1")
     with pytest.raises(ValueError):
         GridSpec.parse("words")
+    for kwargs in ({"a_step": Fraction(0)}, {"b_step": Fraction(-1, 20)}):
+        with pytest.raises(ValueError, match="grid steps must be positive"):
+            GridSpec(**kwargs)
+
+
+def test_pin_case4_empty_grid_is_no_pass():
+    report = pin_case4(GridSpec.parse("0:0:1,0:0:1"))
+    assert report.claimed_point_passes and not report.unexpected_passes
+    assert report.cells == 0
+    assert not report.ok
 
 
 def test_pin_case4_coarse_grid():

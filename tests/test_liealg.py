@@ -11,11 +11,11 @@ import pytest
 
 from nksl3.exactfield import (ONE, SQRT2, SQRT3, ZERO, FieldElem,
                               random_element)
-from nksl3.liealg import (SUBSPACES, AlgMat, FullVec, MVec, ad_action,
-                          ad_numeric, basis_matrix, bracket, coeff_bracket,
-                          decompose, dphi, m_component, metric,
-                          rotation_action_matrix, stabilizer_element,
-                          structure_constants)
+from nksl3.liealg import (SUBSPACES, AlgMat, FullVec, MVec, _dual,
+                          _dual_float, ad_action, ad_numeric, basis_float,
+                          basis_matrix, bracket, coeff_bracket, decompose,
+                          dphi, m_component, metric, rotation_action_matrix,
+                          stabilizer_element, structure_constants)
 from nksl3 import linalg
 
 RNG_SEED = 40
@@ -154,6 +154,40 @@ def test_decompose_roundtrip_random():
     for _ in range(100):
         coeffs = FullVec(random_element(rng) for _ in range(8))
         assert decompose(coeffs.to_matrix()) == coeffs
+
+
+def _reference_gram_inverse():
+    return linalg.invert([[metric(basis_matrix(i), basis_matrix(j))
+                           for j in ALL_INDICES] for i in ALL_INDICES])
+
+
+def test_decompose_matches_gram_inverse_route():
+    # the dense route: coeffs = G⁻¹ · (⟨eⱼ, X⟩)ⱼ with trace-form pairings
+    inverse = _reference_gram_inverse()
+
+    def reference(x):
+        pairings = [metric(basis_matrix(j), x) for j in ALL_INDICES]
+        return FullVec(sum((g * p for g, p in zip(row, pairings)), ZERO)
+                       for row in inverse)
+
+    for i in ALL_INDICES:
+        x = basis_matrix(i)
+        assert decompose(x) == reference(x) == FullVec.basis(i)
+    rng = random.Random(RNG_SEED + 10)
+    for _ in range(20):
+        x = _dense_fullvec(rng).to_matrix()
+        assert decompose(x) == reference(x)
+
+
+def test_dual_has_thirteen_entries():
+    assert [len(entries) for entries in _dual()] == [2, 2, 1, 1, 1, 1, 3, 2]
+
+
+def test_dual_float_is_the_float_gram_inverse_route():
+    inverse = np.array([[entry.to_float() for entry in row]
+                        for row in _reference_gram_inverse()])
+    pairing = -0.5 * basis_float().transpose(0, 2, 1).reshape(8, 9)
+    assert np.array_equal(_dual_float(), (inverse @ pairing)[:6])
 
 
 def test_vectors_reject_bool_scalars():

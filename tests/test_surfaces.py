@@ -196,6 +196,13 @@ def test_exp_check_rejects_nonfinite_tolerance():
             exp_check("f1", samples=1, tol=tol)
 
 
+def test_exp_check_and_certify_refuse_zero_samples():
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        exp_check("f1", samples=0)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        certify("f1", samples=0)
+
+
 def test_sff_vanishes_on_nondegenerate_families():
     for fid in ("f1", "f2", "f3", "f4"):
         x, jx = generator(fid)
