@@ -271,8 +271,8 @@ class GridSpec:
 
     def cells(self) -> int:
         """The number of cells `pin_case4` sweeps (both ε)."""
-        a_steps, b_steps = self._steps()
-        return 2 * len(a_steps) * len(b_steps)
+        # from the bounds, since len() of a range overflows past sys.maxsize
+        return 2 * math.prod(max(0, r.stop - r.start) for r in self._steps())
 
     def __str__(self) -> str:
         return (f"{self.a_min}:{self.a_max}:{self.a_step},"
@@ -361,15 +361,15 @@ class SurvivorMatch:
 
 def match_survivors() -> dict[str, SurvivorMatch]:
     """Map each surviving case to its surface family and check the generator
-    pairs agree exactly (JX accepted up to sign).  The bridge from tangent
-    data to the surfaces is that geodesics from the base point are exp(Y)·o
-    in a naturally reductive space."""
+    pairs agree exactly.  The bridge from tangent data to the surfaces is
+    that geodesics from the base point are exp(Y)·o in a naturally reductive
+    space."""
     matches: dict[str, SurvivorMatch] = {}
     for case_label, candidate, fid in _SURVIVOR_TABLE:
         x = candidate.vector()
         jx = J.apply(x)
         fx, fjx = generator(fid)
-        matched = x == fx and (jx == fjx or jx == -fjx)
+        matched = x == fx and jx == fjx
         matches[case_label] = SurvivorMatch(
             case_label, fid, tangency_test(candidate).in_span, matched)
     return matches

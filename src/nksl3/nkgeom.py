@@ -97,10 +97,6 @@ def nabla_tensor(tensor: InvariantTensor, x: MVec, y: MVec) -> MVec:
     return nabla(x, tensor.apply(y)) - tensor.apply(nabla(x, y))
 
 
-def nabla_J(x: MVec, y: MVec) -> MVec:
-    return nabla_tensor(J, x, y)
-
-
 _C52 = Fraction(5, 2)
 _C34 = Fraction(3, 4)
 _C94 = Fraction(9, 4)

@@ -15,8 +15,8 @@ from nksl3.classify import (CaseCandidate, claimed_case4_point,
                             match_survivors, pin_case4, tangency_test)
 from nksl3.exactfield import ONE, ZERO, FieldElem, random_element
 from nksl3.liealg import MVec, basis_matrix, bracket, dphi, metric
-from nksl3.nkgeom import (F, J, J1, P, curvature, curvature_oracle, nabla_J,
-                          oracle_sign, sectional)
+from nksl3.nkgeom import (F, J, J1, P, curvature, curvature_oracle,
+                          nabla_tensor, oracle_sign, sectional)
 from nksl3.surfaces import certify, exp_check, generator
 
 M_INDICES = range(1, 7)
@@ -47,8 +47,8 @@ def test_criterion_2_nearly_kaehler_identity():
         start = time.perf_counter()
         for i, j in itertools.product(M_INDICES, repeat=2):
             x, y = MVec.basis(i), MVec.basis(j)
-            assert nabla_J(x, y) + nabla_J(y, x) == MVec.zero()
-        witness = nabla_J(MVec.basis(1), MVec.basis(3))
+            assert nabla_tensor(J, x, y) + nabla_tensor(J, y, x) == MVec.zero()
+        witness = nabla_tensor(J, MVec.basis(1), MVec.basis(3))
         assert witness == -MVec.basis(4)
         assert witness != MVec.zero()
         elapsed = time.perf_counter() - start

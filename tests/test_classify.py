@@ -1,6 +1,7 @@
 """The normal-form case engine: candidate templates, the curvature tangency
 test, case eliminations, the exact parameter pin, and the survivor map."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from nksl3.classify import (CaseCandidate, GridSpec, candidates,
 from nksl3.exactfield import ONE, SQRT3, ZERO, FieldElem
 from nksl3.liealg import MVec, dphi, metric
 from nksl3.nkgeom import J, curvature
+from nksl3.surfaces import FAMILIES
 
 RNG_SEED = 3
 
@@ -235,9 +237,10 @@ def test_grid_cells_counts_the_sweep():
 
 
 def test_grid_spec_refuses_grids_above_the_cap():
-    grid = "0:1000:1/50,-2500:2500:1/2"
-    with pytest.raises(ValueError, match="above the cap"):
-        GridSpec.parse(grid)
+    # the second grid has more steps than len() of a range can count
+    for grid in ("0:1000:1/50,-2500:2500:1/2", "0:1e30:1,0:1:1"):
+        with pytest.raises(ValueError, match="above the cap"):
+            GridSpec.parse(grid)
     assert GridSpec(Fraction(0), Fraction(1000), Fraction(1, 50),
                     Fraction(-2500), Fraction(2500),
                     Fraction(1, 2)).cells() == 2 * 50_000 * 10_001
@@ -250,6 +253,15 @@ def test_match_survivors():
     for label, match in matches.items():
         assert match.example == expected[label]
         assert match.tangency_pass and match.generator_match and match.ok
+
+
+def test_match_survivors_refuses_a_negated_jx(monkeypatch):
+    fam = FAMILIES["f2"]
+    monkeypatch.setitem(FAMILIES, "f2", dataclasses.replace(fam, jx=-fam.jx))
+    matches = match_survivors()
+    assert matches["3+"].generator_match is False
+    assert not matches["3+"].ok
+    assert all(m.ok for label, m in matches.items() if label != "3+")
 
 
 def test_candidate_labels():

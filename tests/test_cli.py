@@ -1,11 +1,15 @@
 """The verification runner: suite composition, report formats, determinism,
 and process exit codes."""
 
+import errno
 import json
 import math
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -267,10 +271,37 @@ def test_oversized_grid_exits_2_without_sweeping(monkeypatch, capsys):
         raise AssertionError("the grid was swept")
 
     monkeypatch.setattr(cli, "pin_case4", no_sweep)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["classify", "--grid", "0:1000:1/50,-2500:2500:1/2"])
-    assert exc.value.code == 2
-    assert "above the cap" in capsys.readouterr().err
+    for grid in ("0:1000:1/50,-2500:2500:1/2", "0:1e30:1,0:1:1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--grid", grid])
+        assert exc.value.code == 2
+        assert "above the cap" in capsys.readouterr().err
+
+
+def test_unwritable_stdout_exits_2(monkeypatch, capsys):
+    class FullStdout:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert cli.main(["tensors", "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"nksl3: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_unencodable_stdout_exits_2():
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "nksl3.cli", "classify"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("nksl3: cannot write stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_oracle_agreement_fails_when_routes_disagree(monkeypatch):

@@ -14,7 +14,7 @@ from nksl3.exactfield import ONE, ZERO, FieldElem, random_element
 from nksl3.liealg import (MVec, bracket, m_component, metric,
                           rotation_action_matrix)
 from nksl3.nkgeom import (F, J, J1, P, DegeneratePlaneError, curvature,
-                          curvature_oracle, einstein_constant, nabla, nabla_J,
+                          curvature_oracle, einstein_constant, nabla,
                           nabla_tensor, oracle_sign, ricci, sectional)
 from nksl3.nkgeom import _five_term
 
@@ -145,9 +145,9 @@ def test_nabla_metric_compatible():
 
 def test_nabla_j_frozen_values():
     e = MVec.basis
-    assert nabla_J(e(1), e(3)) == -e(4)
-    assert nabla_J(e(3), e(1)) == e(4)
-    assert nabla_J(e(1), e(2)) == MVec.zero()
+    assert nabla_tensor(J, e(1), e(3)) == -e(4)
+    assert nabla_tensor(J, e(3), e(1)) == e(4)
+    assert nabla_tensor(J, e(1), e(2)) == MVec.zero()
 
 
 def test_nearly_kaehler_identity_exhaustive():
@@ -160,11 +160,11 @@ def test_nearly_kaehler_diagonal_random():
     rng = random.Random(RNG_SEED + 2)
     for _ in range(50):
         x = _random_mvec(rng)
-        assert nabla_J(x, x) == MVec.zero()
+        assert nabla_tensor(J, x, x) == MVec.zero()
 
 
 def test_strictness_witness():
-    assert nabla_J(MVec.basis(1), MVec.basis(3)) != MVec.zero()
+    assert nabla_tensor(J, MVec.basis(1), MVec.basis(3)) != MVec.zero()
 
 
 def test_j1_is_not_nearly_kaehler():
