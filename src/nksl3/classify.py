@@ -1,10 +1,11 @@
 """The case engine for totally geodesic almost complex surfaces.
 
 Normal-form candidates for the tangent generator X (after the stabilizer
-action, the transpose-inverse isometry and rescaling), the exact curvature
-tangency test R(X, JX)JX ∈ span{X, JX}, the elimination of the mixed
-m₁ ⊕ m₃ case, parameter pinning for the full three-block case by exact
-grid refutation, and the matching of survivors to the surface families.
+action, the transpose-inverse isometry and rescaling), their parameters in
+one table, `_PARAMETERS`; the exact curvature tangency test
+R(X, JX)JX ∈ span{X, JX}, shared by the elimination of the mixed m₁ ⊕ m₃
+case; parameter pinning for the full three-block case by exact grid
+refutation; and the matching of survivors to the surface families.
 """
 
 from __future__ import annotations
@@ -34,9 +35,14 @@ def case4_coords(epsilon, a, b) -> tuple:
     return (a, 0, 1, 0, (a * a + epsilon) * _HALF, b)
 
 
+_PARAMETERS = {1: (), 2: ("epsilon",), 3: ("epsilon",),
+               4: ("epsilon", "a", "b"), 5: ()}
+
+
 @dataclass(frozen=True)
 class CaseCandidate:
-    """A normal-form tangent generator; cases 2-4 carry free parameters.
+    """A normal-form tangent generator; `_PARAMETERS` names the parameters
+    each case carries, and a candidate must carry exactly those.
 
     Case 1: X = e₁                               (single block m₁)
     Case 2: X = εe₁ + e₅                         (m₁ ⊕ m₃)
@@ -51,32 +57,20 @@ class CaseCandidate:
     b: FieldElem | None = None
 
     def __post_init__(self) -> None:
-        if self.case not in (1, 2, 3, 4, 5):
+        if self.case not in _PARAMETERS:
             raise ValueError(f"unknown case: {self.case}")
+        wanted = _PARAMETERS[self.case]
+        given = tuple(name for name in ("epsilon", "a", "b")
+                      if getattr(self, name) is not None)
+        if given != wanted:
+            raise ValueError(f"case {self.case} takes exactly the "
+                             f"parameters {wanted}, not {given}")
         if self.epsilon not in (None, -1, 1):
             raise ValueError("epsilon must be -1 or +1")
-        if self.case in (1, 5) and (self.epsilon is not None or self.a is not None
-                                    or self.b is not None):
-            raise ValueError(f"case {self.case} has no free parameters")
-        if self.case in (2, 3) and (self.a is not None or self.b is not None):
-            raise ValueError(f"case {self.case} only takes epsilon")
         if self.a is not None and self.a.sign() <= 0:
             raise ValueError("case 4 requires a > 0")
 
-    @property
-    def free_parameters(self) -> tuple[str, ...]:
-        wanted = {1: (), 2: ("epsilon",), 3: ("epsilon",),
-                  4: ("epsilon", "a", "b"), 5: ()}[self.case]
-        return tuple(name for name in wanted if getattr(self, name) is None)
-
-    @property
-    def instantiated(self) -> bool:
-        return not self.free_parameters
-
     def vector(self) -> MVec:
-        if not self.instantiated:
-            raise ValueError(f"case {self.case} candidate is missing "
-                             f"{', '.join(self.free_parameters)}")
         if self.case == 1:
             return MVec.basis(1)
         if self.case == 2:
@@ -107,11 +101,6 @@ class CaseCandidate:
         return ", ".join(parts)
 
 
-def candidates() -> list[CaseCandidate]:
-    """The five normal-form templates, parameters left free."""
-    return [CaseCandidate(case) for case in (1, 2, 3, 4, 5)]
-
-
 @dataclass(frozen=True)
 class SpanDecision:
     contained: bool
@@ -136,20 +125,23 @@ def in_span(v: MVec, x: MVec, y: MVec) -> SpanDecision:
 
 @dataclass(frozen=True)
 class TangencyResult:
-    candidate: CaseCandidate
     value: MVec
     in_span: bool
     witness: SpanDecision
 
 
+def _tangency(x: MVec) -> tuple[MVec, SpanDecision]:
+    """R(X, JX)JX and whether it lies in span{X, JX}, over the field."""
+    jx = J.apply(x)
+    value = curvature(x, jx, jx)
+    return value, in_span(value, x, jx)
+
+
 def tangency_test(candidate: CaseCandidate) -> TangencyResult:
     """Whether R(X, JX)JX stays inside span{X, JX}; a totally geodesic
     surface's tangent plane must be preserved by the ambient curvature."""
-    x = candidate.vector()
-    jx = J.apply(x)
-    value = curvature(x, jx, jx)
-    decision = in_span(value, x, jx)
-    return TangencyResult(candidate, value, decision.contained, decision)
+    value, decision = _tangency(candidate.vector())
+    return TangencyResult(value, decision.contained, decision)
 
 
 @cache
@@ -224,11 +216,20 @@ def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
 MAX_GRID_CELLS = 1_000_000
 
 
+def _grid_number(text: str) -> Fraction:
+    """One number of a grid spec.  `Fraction` computes 10**exp for a decimal
+    exponent, so an exponent of three or more digits is refused first."""
+    if sum(c.isdigit() for c in text.lower().partition("e")[2]) >= 3:
+        raise ValueError(f"exponent too large in {text!r}")
+    return Fraction(text)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rational sweep grid for the case 4 parameters: a over (a_min, a_max]
-    (the lower endpoint is excluded by the a > 0 constraint), b over
-    [b_min, b_max], both stepped uniformly."""
+    and b over [b_min, b_max], both stepped uniformly.  The step index of a
+    starts at 1, so a_min itself is never swept, even when it is positive;
+    values a ≤ 0 are skipped as well, since case 4 requires a > 0."""
 
     a_min: Fraction = Fraction(0)
     a_max: Fraction = Fraction(3)
@@ -245,8 +246,8 @@ class GridSpec:
     def parse(cls, text: str) -> "GridSpec":
         try:
             a_part, b_part = text.split(",")
-            a_min, a_max, a_step = (Fraction(p) for p in a_part.split(":"))
-            b_min, b_max, b_step = (Fraction(p) for p in b_part.split(":"))
+            a_min, a_max, a_step = (_grid_number(p) for p in a_part.split(":"))
+            b_min, b_max, b_step = (_grid_number(p) for p in b_part.split(":"))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad grid spec {text!r}; expected "
                              "'amin:amax:astep,bmin:bmax:bstep'") from exc
@@ -286,26 +287,16 @@ def claimed_case4_point() -> CaseCandidate:
 
 @dataclass(frozen=True)
 class PinReport:
+    """The facts of a pin; the CLI check `classify.case4_pinned` judges
+    them."""
     claimed_point_passes: bool
     cells: int
-    grid_passes: int
-    grid_failures: int
     unexpected_passes: tuple[str, ...]
     grid: GridSpec
 
     @property
-    def ok(self) -> bool:
-        return self.claimed_point_passes and self.cells > 0 and not self.unexpected_passes
-
-    def to_dict(self) -> dict:
-        return {
-            "claimed_point_passes": self.claimed_point_passes,
-            "cells": self.cells,
-            "passes": self.grid_passes,
-            "failures": self.grid_failures,
-            "unexpected_passes": list(self.unexpected_passes),
-            "grid": str(self.grid),
-        }
+    def grid_passes(self) -> int:
+        return len(self.unexpected_passes)
 
 
 def pin_case4(grid: GridSpec | None = None) -> PinReport:
@@ -321,7 +312,7 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     """
     grid = grid or GridSpec()
     claimed = tangency_test(claimed_case4_point()).in_span
-    cells = passes = 0
+    cells = 0
     unexpected: list[str] = []
     b_values = tuple(grid.b_values())
     for epsilon in (-1, 1):
@@ -330,12 +321,10 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
             for b in b_values:
                 cells += 1
                 if rational_tangency((*head, b)):
-                    passes += 1
                     unexpected.append(CaseCandidate(
                         4, epsilon=epsilon, a=FieldElem(a),
                         b=FieldElem(b)).label())
-    return PinReport(claimed, cells, passes, cells - passes,
-                     tuple(unexpected), grid)
+    return PinReport(claimed, cells, tuple(unexpected), grid)
 
 
 _SURVIVOR_TABLE: tuple[tuple[str, CaseCandidate, str], ...] = (
@@ -349,7 +338,6 @@ _SURVIVOR_TABLE: tuple[tuple[str, CaseCandidate, str], ...] = (
 
 @dataclass(frozen=True)
 class SurvivorMatch:
-    case_label: str
     example: str
     tangency_pass: bool
     generator_match: bool
@@ -371,7 +359,7 @@ def match_survivors() -> dict[str, SurvivorMatch]:
         fx, fjx = generator(fid)
         matched = x == fx and jx == fjx
         matches[case_label] = SurvivorMatch(
-            case_label, fid, tangency_test(candidate).in_span, matched)
+            fid, tangency_test(candidate).in_span, matched)
     return matches
 
 
@@ -396,9 +384,7 @@ def eliminate_case2() -> list[EliminationReport]:
     for epsilon in (-1, 1):
         x = CaseCandidate(2, epsilon=epsilon).vector()
         for rep_name, vec in (("m1+m3", x), ("m1+m2 (dphi image)", dphi(x))):
-            jv = J.apply(vec)
-            value = curvature(vec, jv, jv)
-            decision = in_span(value, vec, jv)
+            value, decision = _tangency(vec)
             reports.append(EliminationReport(epsilon, rep_name, vec, value,
                                              not decision.contained))
     return reports

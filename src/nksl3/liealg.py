@@ -388,13 +388,6 @@ def m_component(x: AlgMat) -> MVec:
     return decompose(x).m_part()
 
 
-def ad_action(i: int, x: MVec) -> MVec:
-    """ad(eᵢ) acting on the tangent space, for the isotropy indices i ∈ {7, 8}."""
-    if i not in SUBSPACES["h"]:
-        raise ValueError("ad_action is for the isotropy directions e7, e8")
-    return coeff_bracket(FullVec.basis(i), x).m_part()
-
-
 def stabilizer_element(t: float, s: float) -> np.ndarray:
     """The stabilizer point h(t, s): a rotation by s scaled by eᵗ in the
     upper block and e^{-2t} in the lower corner."""

@@ -37,6 +37,7 @@ class DegenerateSpanError(ValueError):
 class SurfaceFamily:
     id: str
     orbit_group: str
+    orbit_dim: int
     x: MVec
     jx: MVec
     expected_signature: tuple[int, int, int]
@@ -134,34 +135,34 @@ def _build_families() -> dict[str, SurfaceFamily]:
     x4 = _mvec((1, inv_sqrt3), (3, 1), (5, -third))
     x5 = _mvec((3, 1))
 
-    def fam(fid: str, group: str, x: MVec, signature: tuple[int, int, int],
-            curvature: FieldElem | None, closed, argument, u_range, v_range
-            ) -> SurfaceFamily:
-        return SurfaceFamily(fid, group, x, J.apply(x), signature, curvature,
-                             closed, argument, u_range, v_range)
+    def fam(fid: str, group: str, orbit_dim: int, x: MVec,
+            signature: tuple[int, int, int], curvature: FieldElem | None,
+            closed, argument, u_range, v_range) -> SurfaceFamily:
+        return SurfaceFamily(fid, group, orbit_dim, x, J.apply(x), signature,
+                             curvature, closed, argument, u_range, v_range)
 
     two_pi = 2.0 * math.pi
     e = basis_float()
     families = [
-        fam("f1", "SL(2,R)", x1, (0, 2, 0), FieldElem(4), _closed_f1,
+        fam("f1", "SL(2,R)", 3, x1, (0, 2, 0), FieldElem(4), _closed_f1,
             _polar_argument(e[0], e[1], 1.0),
             (-2.0, 2.0), (0.0, two_pi)),
-        fam("f2", "SO(3)", x2, (2, 0, 0), FieldElem(1), _closed_f2,
+        fam("f2", "SO(3)", 3, x2, (2, 0, 0), FieldElem(1), _closed_f2,
             _polar_argument(x2.to_matrix().to_float(),
                             J.apply(x2).to_matrix().to_float(), 2.0),
             (-2.0, 2.0), (0.0, two_pi)),
-        fam("f3", "SO+(2,1)", x3, (0, 2, 0), FieldElem(1), _closed_f3,
+        fam("f3", "SO+(2,1)", 3, x3, (0, 2, 0), FieldElem(1), _closed_f3,
             _polar_argument(x3.to_matrix().to_float(),
                             J.apply(x3).to_matrix().to_float(), 2.0),
             (-2.0, 2.0), (0.0, two_pi)),
         # The f4 closed form's u-derivative at the origin is X/√3, not X:
         # its u coordinate runs along X/√3 (same span, same surface), so the
         # exponential argument must carry that scaling to match it pointwise.
-        fam("f4", "R2", x4, (0, 2, 0), FieldElem(0), _closed_f4,
+        fam("f4", "R2", 2, x4, (0, 2, 0), FieldElem(0), _closed_f4,
             _linear_argument(x4.to_matrix().to_float() / math.sqrt(3.0),
                              J.apply(x4).to_matrix().to_float()),
             (-2.0, 2.0), (-2.0, 2.0)),
-        fam("f5", "R2-degenerate", x5, (0, 0, 2), None, _closed_f5,
+        fam("f5", "R2-degenerate", 2, x5, (0, 0, 2), None, _closed_f5,
             _linear_argument(_INV_SQRT2 * e[2], _INV_SQRT2 * e[3]),
             (-3.0, 3.0), (-3.0, 3.0)),
     ]
@@ -169,9 +170,6 @@ def _build_families() -> dict[str, SurfaceFamily]:
 
 
 FAMILIES: dict[str, SurfaceFamily] = _build_families()
-
-_ORBIT_DIMENSION = {"SL(2,R)": 3, "SO(3)": 3, "SO+(2,1)": 3,
-                    "R2": 2, "R2-degenerate": 2}
 
 
 def family(fid: str) -> SurfaceFamily:
@@ -220,7 +218,6 @@ def coset_deviation(achieved: np.ndarray, target: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ExpCheckResult:
-    id: str
     samples: int
     tol: float
     max_dev: float
@@ -250,7 +247,7 @@ def exp_check(fid: str, samples: int = 100, tol: float = 1e-8,
         achieved = expm(fam.exp_argument(u, v))
         target = fam.closed_form(u, v)
         max_dev = max(max_dev, coset_deviation(achieved, target))
-    return ExpCheckResult(fid, samples, tol, max_dev)
+    return ExpCheckResult(samples, tol, max_dev)
 
 
 def sff(kbasis: Sequence[MVec], x: MVec, y: MVec) -> MVec:
@@ -297,19 +294,6 @@ def generated_algebra_dimension(seeds: Sequence[MVec]) -> int:
         current = new_rank
 
 
-def _canonically_embedded(span: Sequence[MVec]) -> bool:
-    """The span, viewed inside the algebra, is closed under bracket with all
-    components staying inside it (so k = (k ∩ h) ⊕ (k ∩ m) with k ∩ h = 0)."""
-    vectors = [list(v.to_full().coeffs) for v in span]
-    for i, a in enumerate(span):
-        for b in span[i + 1:]:
-            coeffs, _ = linalg.solve_in_span(vectors,
-                                             list(coeff_bracket(a, b).coeffs))
-            if coeffs is None:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class Certificate:
     id: str
@@ -320,7 +304,6 @@ class Certificate:
     curvature: str
     orbit_group: str
     orbit_algebra_dim: int
-    orbit_dim_matches: bool
     exp_check: ExpCheckResult
 
     @property
@@ -331,7 +314,8 @@ class Certificate:
         return (self.almost_complex and self.totally_geodesic
                 and self.induced_signature == fam.expected_signature
                 and self.curvature == expected
-                and self.orbit_dim_matches and self.exp_check.passed)
+                and self.orbit_algebra_dim == fam.orbit_dim
+                and self.exp_check.passed)
 
     def to_dict(self) -> dict:
         return {
@@ -349,10 +333,17 @@ class Certificate:
 
 def certify(fid: str, samples: int = 100, tol: float = 1e-8,
             seed: int = 0) -> Certificate:
-    """Exact certification of the family: J-stable span, totally geodesic
-    (sff = 0, or canonical embedding when the span is degenerate), induced
-    signature and curvature constant, orbit algebra dimension; plus the
-    numeric exponential cross-check."""
+    """Exact certification of the family: J-stable span, totally geodesic,
+    induced signature and curvature constant, orbit algebra dimension; plus
+    the numeric exponential cross-check.
+
+    A nondegenerate span is totally geodesic when sff(X, JX) = 0 (sff(u, u)
+    is ½[u, u]^⊥ = 0); [X, JX]_m = 0 for every tangent X, so for f1–f4 the
+    orbit algebra dimension that `ok` compares carries the content.  A
+    degenerate span must be closed under the bracket; X and JX are
+    independent (J² = −Id has no real eigenvector), so that holds exactly
+    when the generated algebra has dimension len(span).
+    """
     fam = family(fid)
     x, jx = fam.x, fam.jx
     span = [x, jx]
@@ -364,19 +355,17 @@ def certify(fid: str, samples: int = 100, tol: float = 1e-8,
 
     gram = [[metric(u, v) for v in span] for u in span]
     induced_signature = linalg.signature(gram)
-    degenerate = induced_signature[2] > 0
+    dim = generated_algebra_dimension(span)
 
-    if degenerate:
+    if induced_signature[2] > 0:
         method = "canonical-embedding"
-        totally_geodesic = _canonically_embedded(span)
+        totally_geodesic = dim == len(span)
         curvature_text = "degenerate"
     else:
         method = "sff"
-        pairs = [(x, x), (x, jx), (jx, jx)]
-        totally_geodesic = all(not sff(span, u, v) for u, v in pairs)
+        totally_geodesic = not sff(span, x, jx)
         curvature_text = str(sectional(x, jx))
 
-    dim = generated_algebra_dimension(span)
     return Certificate(
         id=fid,
         almost_complex=almost_complex,
@@ -386,6 +375,5 @@ def certify(fid: str, samples: int = 100, tol: float = 1e-8,
         curvature=curvature_text,
         orbit_group=fam.orbit_group,
         orbit_algebra_dim=dim,
-        orbit_dim_matches=dim == _ORBIT_DIMENSION[fam.orbit_group],
         exp_check=exp_check(fid, samples=samples, tol=tol, seed=seed),
     )

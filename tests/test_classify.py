@@ -1,4 +1,4 @@
-"""The normal-form case engine: candidate templates, the curvature tangency
+"""The normal-form case engine: candidate parameters, the curvature tangency
 test, case eliminations, the exact parameter pin, and the survivor map."""
 
 import dataclasses
@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from nksl3.classify import (CaseCandidate, GridSpec, candidates,
-                            case4_coords, claimed_case4_point,
+from nksl3.classify import (CaseCandidate, GridSpec, case4_coords,
+                            claimed_case4_point,
                             curvature_table, eliminate_case2, in_span,
                             match_survivors, pin_case4, rational_tangency,
                             tangency_form, tangency_test)
@@ -23,15 +23,6 @@ RNG_SEED = 3
 
 def _e(i):
     return MVec.basis(i)
-
-
-def test_candidate_templates():
-    templates = candidates()
-    assert [c.case for c in templates] == [1, 2, 3, 4, 5]
-    assert templates[0].instantiated and templates[4].instantiated
-    assert templates[1].free_parameters == ("epsilon",)
-    assert templates[2].free_parameters == ("epsilon",)
-    assert templates[3].free_parameters == ("epsilon", "a", "b")
 
 
 def test_candidate_validation():
@@ -49,9 +40,11 @@ def test_candidate_validation():
         CaseCandidate(4, epsilon=1, a=-ONE, b=ZERO)
 
 
-def test_uninstantiated_vector_raises():
-    with pytest.raises(ValueError):
-        CaseCandidate(2).vector()
+def test_candidate_refuses_missing_parameters():
+    for kwargs in ({"case": 2}, {"case": 4, "epsilon": 1},
+                   {"case": 4, "epsilon": 1, "a": ONE}):
+        with pytest.raises(ValueError, match="takes exactly"):
+            CaseCandidate(**kwargs)
 
 
 def test_case_vectors_literal():
@@ -197,6 +190,12 @@ def test_grid_spec_rejects_nonsense():
         GridSpec.parse("0:3:-1,-3:3:1")
     with pytest.raises(ValueError):
         GridSpec.parse("words")
+    # refused before Fraction builds a million-digit integer
+    for spec in ("0:1e1000000:1e1000000,0:1:1", "0:1:1,0:1E-100:1",
+                 "0:1e1_0_0:1,0:1:1"):
+        with pytest.raises(ValueError, match="bad grid spec"):
+            GridSpec.parse(spec)
+    assert GridSpec.parse("0:1e1:1,0:1e-1:1e-2").a_max == 10
     for kwargs in ({"a_step": Fraction(0)}, {"b_step": Fraction(-1, 20)}):
         with pytest.raises(ValueError, match="grid steps must be positive"):
             GridSpec(**kwargs)
@@ -206,7 +205,6 @@ def test_pin_case4_empty_grid_is_no_pass():
     report = pin_case4(GridSpec.parse("0:0:1,0:0:1"))
     assert report.claimed_point_passes and not report.unexpected_passes
     assert report.cells == 0
-    assert not report.ok
 
 
 def test_pin_case4_coarse_grid():
@@ -215,11 +213,7 @@ def test_pin_case4_coarse_grid():
     assert report.claimed_point_passes
     assert report.cells == 2 * 3 * 5
     assert report.grid_passes == 0
-    assert report.grid_failures == report.cells
     assert report.unexpected_passes == ()
-    assert report.ok
-    payload = report.to_dict()
-    assert payload["cells"] == 30 and payload["passes"] == 0
 
 
 def test_pin_case4_skips_nonpositive_a():

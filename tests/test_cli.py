@@ -278,6 +278,19 @@ def test_oversized_grid_exits_2_without_sweeping(monkeypatch, capsys):
         assert "above the cap" in capsys.readouterr().err
 
 
+def test_grid_with_a_huge_exponent_exits_2_at_once():
+    # Fraction would spend minutes building 10**100000000; run in a child so
+    # that a regression fails on the timeout instead of stalling the suite
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "nksl3.cli", "classify",
+                           "--grid", "0:1e100000000:1,0:1:1"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert "bad grid spec" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unwritable_stdout_exits_2(monkeypatch, capsys):
     class FullStdout:
         def write(self, text):

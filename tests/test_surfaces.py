@@ -12,7 +12,9 @@ import pytest
 import scipy.linalg
 
 from nksl3.exactfield import SQRT2, SQRT3, ZERO, FieldElem
-from nksl3.liealg import MVec, bracket, metric, stabilizer_element
+from nksl3 import linalg
+from nksl3.liealg import (MVec, bracket, coeff_bracket, metric,
+                          stabilizer_element)
 from nksl3.nkgeom import J
 from nksl3.surfaces import (FAMILIES, Certificate, DegenerateSpanError,
                             certify, closed_form, coset_deviation, exp_check,
@@ -241,6 +243,49 @@ def test_orbit_algebra_dimensions():
         assert generated_algebra_dimension([x, jx]) == dim, fid
     full = [MVec.basis(i) for i in range(1, 7)]
     assert generated_algebra_dimension(full) == 8
+
+
+def _closed_under_bracket(span):
+    """The reference route: every bracket of two span vectors lies in the
+    span, viewed inside the full algebra."""
+    vectors = [list(v.to_full().coeffs) for v in span]
+    return all(linalg.solve_in_span(vectors,
+                                    list(coeff_bracket(a, b).coeffs))[0]
+               is not None
+               for i, a in enumerate(span) for b in span[i + 1:])
+
+
+def test_bracket_closure_is_generated_dimension_two():
+    # X is drawn on a random set of the blocks m1, m2, m3 so that closed
+    # spans are common; a dense X almost always generates all of sl(3)
+    spans = [list(generator(fid)) for fid in ALL_IDS]
+    supports = [blocks for r in (1, 2, 3)
+                for blocks in itertools.combinations(range(3), r)]
+    rng = random.Random(RNG_SEED)
+    while len(spans) < 5 + 30:
+        blocks = rng.choice(supports)
+        x = MVec(rng.choice((-1, 0, 1, 2)) if i // 2 in blocks else 0
+                 for i in range(6))
+        if x:
+            spans.append([x, J.apply(x)])
+    verdicts = []
+    for span in spans:
+        closed = _closed_under_bracket(span)
+        assert closed == (generated_algebra_dimension(span) == 2), span
+        verdicts.append(closed)
+    assert verdicts[:5] == [False, False, False, True, True]
+    assert True in verdicts[5:] and False in verdicts[5:]
+
+
+def test_x_jx_bracket_has_no_tangent_part():
+    # X -> [X, JX]_m is quadratic, so its polarization vanishing on the 21
+    # basis pairs i <= j proves [X, JX]_m = 0 for every tangent X: the sff
+    # of a J-plane, ½[X, JX]_m projected, is zero whatever the plane
+    for i, j in itertools.combinations_with_replacement(range(1, 7), 2):
+        ei, ej = MVec.basis(i), MVec.basis(j)
+        polar = (coeff_bracket(ei, J.apply(ej)).m_part()
+                 + coeff_bracket(ej, J.apply(ei)).m_part())
+        assert polar == MVec.zero(), (i, j)
 
 
 def test_f4_generators_commute():
