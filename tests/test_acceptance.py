@@ -5,6 +5,7 @@ Exact checks use no tolerance at all; the numeric exponential cross-check
 runs at its stated tolerance; the stated runtime budgets are asserted.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -17,7 +18,7 @@ from nksl3.exactfield import ONE, ZERO, FieldElem, random_element
 from nksl3.liealg import MVec, basis_matrix, bracket, dphi, metric
 from nksl3.nkgeom import (F, J, J1, P, curvature, curvature_oracle,
                           nabla_tensor, oracle_sign, sectional)
-from nksl3.surfaces import certify, exp_check, generator
+from nksl3.surfaces import FAMILIES, certify, exp_check, generator
 
 M_INDICES = range(1, 7)
 
@@ -100,17 +101,17 @@ def test_criterion_4_constants_and_case_values():
         assert tangency_test(claimed_case4_point()).in_span
 
 
-def test_criterion_5_certificates():
-    with _criterion(5, "certificates: sff vanishes on f1-f4, f5 degenerate "
-                       "and canonically embedded"):
+def test_criterion_5_certificates(monkeypatch):
+    with _criterion(5, "certificates: one orbit closure certifies f1-f5, "
+                       "f5 degenerate; the e1 + e3 plane is refused"):
         for fid in ("f1", "f2", "f3", "f4"):
             cert = certify(fid, samples=10, seed=0)
             assert cert.ok, cert.to_dict()
-            assert cert.method == "sff"
+            assert cert.method == "orbit-closure"
             assert cert.totally_geodesic
         cert5 = certify("f5", samples=10, seed=0)
         assert cert5.ok, cert5.to_dict()
-        assert cert5.method == "canonical-embedding"
+        assert cert5.method == "orbit-closure"
         assert cert5.totally_geodesic
         assert cert5.induced_signature == (0, 0, 2)
         x5, jx5 = generator("f5")
@@ -120,6 +121,11 @@ def test_criterion_5_certificates():
         for fid, signature in expected_signatures.items():
             assert certify(fid, samples=1, seed=0).induced_signature \
                 == signature
+        x = MVec.basis(1) + MVec.basis(3)
+        monkeypatch.setitem(FAMILIES, "f1", dataclasses.replace(
+            FAMILIES["f1"], x=x, jx=J.apply(x)))
+        refused = certify("f1", samples=1, seed=0)
+        assert not refused.totally_geodesic and not refused.ok
 
 
 def test_criterion_6_exponential_cross_check():

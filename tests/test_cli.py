@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nksl3 import cli, exactfield, liealg, nkgeom
@@ -335,6 +336,14 @@ def test_oracle_agreement_fails_when_routes_disagree(monkeypatch):
     agreement = records["curvature.oracle_agreement"]
     assert not agreement.passed
     assert "no single sign convention" in agreement.witness
+
+
+def test_stabilizer_rotation_fails_on_a_nan_deviation(monkeypatch):
+    monkeypatch.setattr(cli, "ad_numeric", lambda t, s, x: np.full(6, np.nan))
+    records = {r.name: r for r in cli.run(_spec("algebra")).checks}
+    rotation = records["algebra.stabilizer_rotation"]
+    assert not rotation.passed
+    assert rotation.witness == "max deviation nan > tol"
 
 
 @pytest.mark.parametrize("pairs, witness", [

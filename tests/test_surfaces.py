@@ -17,9 +17,9 @@ from nksl3.liealg import (MVec, bracket, coeff_bracket, metric,
                           stabilizer_element)
 from nksl3.nkgeom import J
 from nksl3.surfaces import (FAMILIES, Certificate, DegenerateSpanError,
-                            certify, closed_form, coset_deviation, exp_check,
-                            expm, family, generated_algebra_dimension,
-                            generator, sff)
+                            _generated_basis, certify, closed_form,
+                            coset_deviation, exp_check, expm, family,
+                            generated_algebra_dimension, generator, sff)
 
 RNG_SEED = 5
 
@@ -243,6 +243,10 @@ def test_orbit_algebra_dimensions():
         assert generated_algebra_dimension([x, jx]) == dim, fid
     full = [MVec.basis(i) for i in range(1, 7)]
     assert generated_algebra_dimension(full) == 8
+    # dense spans generate all of sl(3)
+    for coeffs in ((2, 1, 1, 1, 1, 1), (1, 2, -1, 1, -1, 1)):
+        x = MVec(coeffs)
+        assert generated_algebra_dimension([x, J.apply(x)]) == 8, coeffs
 
 
 def _closed_under_bracket(span):
@@ -255,9 +259,10 @@ def _closed_under_bracket(span):
                for i, a in enumerate(span) for b in span[i + 1:])
 
 
-def test_bracket_closure_is_generated_dimension_two():
-    # X is drawn on a random set of the blocks m1, m2, m3 so that closed
-    # spans are common; a dense X almost always generates all of sl(3)
+def _family_and_seeded_spans():
+    """The five family spans, then 30 seeded spans {X, JX}.  X is drawn on
+    a random set of the blocks m1, m2, m3 so that closed spans are common;
+    a dense X almost always generates all of sl(3)."""
     spans = [list(generator(fid)) for fid in ALL_IDS]
     supports = [blocks for r in (1, 2, 3)
                 for blocks in itertools.combinations(range(3), r)]
@@ -268,8 +273,27 @@ def test_bracket_closure_is_generated_dimension_two():
                  for i in range(6))
         if x:
             spans.append([x, J.apply(x)])
+    return spans
+
+
+def _in_span(rows, vector):
+    return linalg.solve_in_span(rows, list(vector.coeffs))[0] is not None
+
+
+def test_generated_basis_is_independent_and_closed():
+    for span in _family_and_seeded_spans():
+        basis = _generated_basis(span)
+        rows = [list(v.coeffs) for v in basis]
+        assert linalg.rank(rows) == len(basis), span
+        assert all(_in_span(rows, seed.to_full()) for seed in span), span
+        assert all(_in_span(rows, coeff_bracket(a, b))
+                   for a, b in itertools.combinations(basis, 2)), span
+        assert generated_algebra_dimension(span) == len(basis), span
+
+
+def test_bracket_closure_is_generated_dimension_two():
     verdicts = []
-    for span in spans:
+    for span in _family_and_seeded_spans():
         closed = _closed_under_bracket(span)
         assert closed == (generated_algebra_dimension(span) == 2), span
         verdicts.append(closed)
@@ -307,16 +331,46 @@ def test_certificates_all_ok():
 
 def test_certificate_details():
     cert = certify("f2", samples=20, seed=4)
-    assert cert.method == "sff"
+    assert cert.method == "orbit-closure"
     assert cert.induced_signature == (2, 0, 0)
     assert cert.curvature == "1"
     assert cert.orbit_group == "SO(3)"
     assert cert.orbit_algebra_dim == 3
     cert5 = certify("f5", samples=20, seed=4)
-    assert cert5.method == "canonical-embedding"
+    assert cert5.method == "orbit-closure"
     assert cert5.induced_signature == (0, 0, 2)
     assert cert5.curvature == "degenerate"
     assert cert5.orbit_algebra_dim == 2
+
+
+def test_certify_refuses_a_plane_whose_orbit_is_not_a_surface(monkeypatch):
+    # span{e1 + e3, J(e1 + e3)} generates an algebra with m-rank 4, and the
+    # plane fails the tangency test R(X, JX)JX ∈ span{X, JX}
+    x = _e(1) + _e(3)
+    monkeypatch.setitem(FAMILIES, "f1", dataclasses.replace(
+        FAMILIES["f1"], x=x, jx=J.apply(x)))
+    cert = certify("f1", samples=5, seed=0)
+    assert cert.almost_complex
+    assert cert.totally_geodesic is False
+    assert cert.ok is False
+
+
+def test_exp_check_fails_on_a_nan_deviation(monkeypatch):
+    # one NaN sample among finite ones must survive the running maximum
+    calls = []
+    original = FAMILIES["f1"].closed_form
+
+    def first_nan(u, v):
+        calls.append((u, v))
+        value = original(u, v)
+        return np.full_like(value, np.nan) if len(calls) == 1 else value
+
+    monkeypatch.setitem(FAMILIES, "f1", dataclasses.replace(
+        FAMILIES["f1"], closed_form=first_nan))
+    result = exp_check("f1", samples=5, seed=0)
+    assert len(calls) == 5
+    assert math.isnan(result.max_dev)
+    assert not result.passed
 
 
 def test_certificate_signatures_and_curvatures():
