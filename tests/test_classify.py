@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from nksl3 import cli
 from nksl3.classify import (CaseCandidate, GridSpec, case4_coords,
                             claimed_case4_point,
                             curvature_table, eliminate_case2, in_span,
@@ -241,21 +242,20 @@ def test_grid_spec_refuses_grids_above_the_cap():
 
 
 def test_match_survivors():
-    matches = match_survivors()
-    assert set(matches) == {"1", "3+", "3-", "4", "5"}
-    expected = {"1": "f1", "3+": "f2", "3-": "f3", "4": "f4", "5": "f5"}
-    for label, match in matches.items():
-        assert match.example == expected[label]
-        assert match.tangency_pass and match.generator_match and match.ok
+    assert match_survivors() == {"1": "f1", "3+": "f2", "3-": "f3",
+                                 "4": "f4", "5": "f5"}
 
 
-def test_match_survivors_refuses_a_negated_jx(monkeypatch):
+def test_match_survivors_refuses_a_negated_x(monkeypatch):
     fam = FAMILIES["f2"]
-    monkeypatch.setitem(FAMILIES, "f2", dataclasses.replace(fam, jx=-fam.jx))
-    matches = match_survivors()
-    assert matches["3+"].generator_match is False
-    assert not matches["3+"].ok
-    assert all(m.ok for label, m in matches.items() if label != "3+")
+    monkeypatch.setitem(FAMILIES, "f2", dataclasses.replace(fam, x=-fam.x))
+    assert match_survivors() == {"1": "f1", "3+": None, "3-": "f3",
+                                 "4": "f4", "5": "f5"}
+    spec = cli.SuiteSpec("classify", grid=GridSpec.parse("0:1:1/2,-1:1:1/2"))
+    records = {r.name: r for r in cli.run(spec).checks}
+    assert not records["classify.mapping"].passed
+    assert records["classify.mapping"].witness == \
+        "a survivor does not match its surface family"
 
 
 def test_candidate_labels():

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from nksl3.exactfield import SQRT2, SQRT3, ZERO, FieldElem
-from nksl3 import linalg
+from nksl3 import cli, linalg
 from nksl3.liealg import (MVec, bracket, coeff_bracket, metric,
                           stabilizer_element)
 from nksl3.nkgeom import J
@@ -216,7 +216,9 @@ def test_sff_vanishes_on_nondegenerate_families():
 
 def test_sff_degenerate_span_refused():
     x, jx = generator("f5")
-    with pytest.raises(DegenerateSpanError):
+    with pytest.raises(DegenerateSpanError,
+                       match="sff needs a nondegenerate span, and certify "
+                             "decides geodesy by the orbit closure"):
         sff([x, jx], x, jx)
 
 
@@ -326,18 +328,15 @@ def test_certificates_all_ok():
     for fid in ALL_IDS:
         cert = certify(fid, samples=50, tol=1e-8, seed=1)
         assert cert.ok, (fid, cert.to_dict())
-        assert cert.almost_complex and cert.totally_geodesic
+        assert cert.totally_geodesic
 
 
 def test_certificate_details():
     cert = certify("f2", samples=20, seed=4)
-    assert cert.method == "orbit-closure"
     assert cert.induced_signature == (2, 0, 0)
     assert cert.curvature == "1"
-    assert cert.orbit_group == "SO(3)"
     assert cert.orbit_algebra_dim == 3
     cert5 = certify("f5", samples=20, seed=4)
-    assert cert5.method == "orbit-closure"
     assert cert5.induced_signature == (0, 0, 2)
     assert cert5.curvature == "degenerate"
     assert cert5.orbit_algebra_dim == 2
@@ -347,12 +346,30 @@ def test_certify_refuses_a_plane_whose_orbit_is_not_a_surface(monkeypatch):
     # span{e1 + e3, J(e1 + e3)} generates an algebra with m-rank 4, and the
     # plane fails the tangency test R(X, JX)JX ∈ span{X, JX}
     x = _e(1) + _e(3)
-    monkeypatch.setitem(FAMILIES, "f1", dataclasses.replace(
-        FAMILIES["f1"], x=x, jx=J.apply(x)))
+    monkeypatch.setitem(FAMILIES, "f1",
+                        dataclasses.replace(FAMILIES["f1"], x=x))
     cert = certify("f1", samples=5, seed=0)
-    assert cert.almost_complex
     assert cert.totally_geodesic is False
     assert cert.ok is False
+
+
+@pytest.mark.parametrize("change", [
+    {"expected_signature": (2, 0, 0)},
+    {"expected_curvature": FieldElem(1)},
+    {"orbit_dim": 2},
+], ids=["signature", "curvature", "orbit_dim"])
+def test_certificate_ok_compares_each_expected_fact(monkeypatch, change):
+    # f1 is (0, 2, 0), curvature 4, orbit dimension 3: one wrong expectation
+    # must fail the certificate and the CLI check that reads it
+    monkeypatch.setitem(FAMILIES, "f1", dataclasses.replace(FAMILIES["f1"],
+                                                            **change))
+    assert certify("f1", samples=5, seed=0).ok is False
+    report = cli.run(cli.SuiteSpec("examples", samples=5))
+    records = {r.name: r for r in report.checks}
+    assert not records["examples.f1"].passed
+    assert records["examples.f1"].witness.startswith("certificate failed")
+    assert all(r.passed for name, r in records.items()
+               if name != "examples.f1")
 
 
 def test_exp_check_fails_on_a_nan_deviation(monkeypatch):
@@ -389,7 +406,6 @@ def test_certificate_signatures_and_curvatures():
 
 def test_certificate_dict_schema():
     payload = certify("f1", samples=10, seed=0).to_dict()
-    assert set(payload) == {"id", "almost_complex", "totally_geodesic",
-                            "method", "induced_signature", "curvature",
-                            "orbit_group", "orbit_algebra_dim", "exp_check"}
+    assert set(payload) == {"id", "totally_geodesic", "induced_signature",
+                            "curvature", "orbit_algebra_dim", "exp_check"}
     assert set(payload["exp_check"]) == {"samples", "tol", "max_dev"}
