@@ -18,10 +18,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import linalg
 from .exactfield import ONE, SQRT2, SQRT3, ZERO, FieldElem, coerce
+
+FloatMat = list[list[float]]  # the float cross-checks run on nested lists
 
 SUBSPACES: dict[str, tuple[int, ...]] = {
     "h": (7, 8),
@@ -59,14 +59,6 @@ class AlgMat:
         mat = object.__new__(cls)
         object.__setattr__(mat, "_rows", rows)
         return mat
-
-    @classmethod
-    def zero(cls) -> "AlgMat":
-        return _ZERO_MAT
-
-    @classmethod
-    def identity(cls) -> "AlgMat":
-        return _IDENTITY_MAT
 
     @property
     def rows(self) -> tuple[tuple[FieldElem, ...], ...]:
@@ -135,16 +127,13 @@ class AlgMat:
     def trace(self) -> FieldElem:
         return self._rows[0][0] + self._rows[1][1] + self._rows[2][2]
 
-    def to_float(self) -> np.ndarray:
-        return np.array([[entry.to_float() for entry in row] for row in self._rows])
+    def to_float(self) -> FloatMat:
+        return [[entry.to_float() for entry in row] for row in self._rows]
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(entry) for entry in row) for row in self._rows)
         return f"AlgMat[{body}]"
 
-
-_ZERO_MAT = AlgMat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-_IDENTITY_MAT = AlgMat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 _THIRD = Fraction(1, 3)
 
@@ -388,55 +377,54 @@ def m_component(x: AlgMat) -> MVec:
     return decompose(x).m_part()
 
 
-def stabilizer_element(t: float, s: float) -> np.ndarray:
+def matmul(a: FloatMat, b: FloatMat) -> FloatMat:
+    """The product of two 3×3 float matrices, each entry summed left to right."""
+    columns = tuple(zip(*b))
+    return [[r0 * c0 + r1 * c1 + r2 * c2 for c0, c1, c2 in columns]
+            for r0, r1, r2 in a]
+
+
+def stabilizer_element(t: float, s: float) -> FloatMat:
     """The stabilizer point h(t, s): a rotation by s scaled by eᵗ in the
     upper block and e^{-2t} in the lower corner."""
     et = math.exp(t)
-    return np.array([
+    return [
         [et * math.cos(s), et * math.sin(s), 0.0],
         [-et * math.sin(s), et * math.cos(s), 0.0],
         [0.0, 0.0, math.exp(-2.0 * t)],
-    ])
+    ]
 
 
 @cache
-def basis_float() -> np.ndarray:
-    """The basis matrices e₁..e₈ as an 8×3×3 float array."""
-    return np.array([mat.to_float() for mat in _BASIS])
+def basis_float() -> list[FloatMat]:
+    """The basis matrices e₁..e₈ as 3×3 float matrices."""
+    return [mat.to_float() for mat in _BASIS]
 
 
-@cache
-def _dual_float() -> np.ndarray:
-    # Rows e₁..e₆ of `_dual`, read against a flattened X.
-    dual = np.zeros((6, 9))
-    for i, entries in enumerate(_dual()[:6]):
-        for r, c, w in entries:
-            dual[i, 3 * r + c] = w.to_float()
-    return dual
-
-
-def ad_numeric(t: float, s: float, x: MVec) -> np.ndarray:
-    """Float coefficients of Ad(h(t, s))·X over (e₁, …, e₆).
+def ad_numeric(t: float, s: float, x: MVec) -> list[float]:
+    """Float coefficients of Ad(h(t, s))·X over (e₁, …, e₆), read through `_dual`.
 
     Conjugation by the stabilizer preserves the tangent space, so the
     e₇, e₈ coefficients of the result vanish and are dropped.
     """
-    matrix = np.tensordot([c.to_float() for c in x.coeffs], basis_float()[:6], 1)
-    conjugated = stabilizer_element(t, s) @ matrix @ stabilizer_element(-t, -s)
-    return _dual_float() @ conjugated.reshape(9)
+    coeffs = [c.to_float() for c in x.coeffs]
+    matrix = [[sum(c * e[r][col] for c, e in zip(coeffs, basis_float()))
+               for col in range(3)] for r in range(3)]
+    conjugated = matmul(matmul(stabilizer_element(t, s), matrix),
+                        stabilizer_element(-t, -s))
+    return [sum(w.to_float() * conjugated[r][col] for r, col, w in entries)
+            for entries in _dual()[:6]]
 
 
-def rotation_action_matrix(t: float, s: float) -> np.ndarray:
-    """The closed form of Ad(h(t, s)) on tangent coefficients: rotation by
-    2s on m₁ and by s with scale e^{±3t} on m₂ and m₃."""
-    def rot(angle: float) -> np.ndarray:
-        return np.array([[math.cos(angle), math.sin(angle)],
-                         [-math.sin(angle), math.cos(angle)]])
-
-    out = np.zeros((6, 6))
-    out[0:2, 0:2] = rot(2.0 * s)
-    out[2:4, 2:4] = math.exp(3.0 * t) * rot(s)
-    out[4:6, 4:6] = math.exp(-3.0 * t) * rot(s)
+def rotation_action_matrix(t: float, s: float) -> FloatMat:
+    """The closed form of Ad(h(t, s)) on tangent coefficients (6×6): rotation
+    by 2s on m₁ and by s with scale e^{±3t} on m₂ and m₃."""
+    out = [[0.0] * 6 for _ in range(6)]
+    for i, angle, scale in ((0, 2.0 * s, 1.0), (2, s, math.exp(3.0 * t)),
+                            (4, s, math.exp(-3.0 * t))):
+        cos, sin = scale * math.cos(angle), scale * math.sin(angle)
+        out[i][i], out[i][i + 1] = cos, sin
+        out[i + 1][i], out[i + 1][i + 1] = -sin, cos
     return out
 
 

@@ -12,7 +12,7 @@ import pytest
 from nksl3.exactfield import (ONE, SQRT2, SQRT3, ZERO, FieldElem,
                               random_element)
 from nksl3.liealg import (SUBSPACES, AlgMat, FullVec, MVec, _dual,
-                          _dual_float, ad_numeric, basis_float,
+                          ad_numeric, basis_float,
                           basis_matrix, bracket, coeff_bracket, decompose,
                           dphi, metric, rotation_action_matrix,
                           stabilizer_element, structure_constants)
@@ -186,8 +186,13 @@ def test_dual_has_thirteen_entries():
 def test_dual_float_is_the_float_gram_inverse_route():
     inverse = np.array([[entry.to_float() for entry in row]
                         for row in _reference_gram_inverse()])
-    pairing = -0.5 * basis_float().transpose(0, 2, 1).reshape(8, 9)
-    assert np.array_equal(_dual_float(), (inverse @ pairing)[:6])
+    pairing = -0.5 * np.array(basis_float()).transpose(0, 2, 1).reshape(8, 9)
+    # the float image of rows e₁..e₆ of `_dual`, read against a flattened X
+    dual = np.zeros((6, 9))
+    for i, entries in enumerate(_dual()[:6]):
+        for r, c, w in entries:
+            dual[i, 3 * r + c] = w.to_float()
+    assert np.array_equal(dual, (inverse @ pairing)[:6])
 
 
 def test_vectors_reject_bool_scalars():
@@ -199,7 +204,7 @@ def test_vectors_reject_bool_scalars():
 
 def test_decompose_rejects_trace():
     with pytest.raises(ValueError):
-        decompose(AlgMat.identity())
+        decompose(AlgMat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def _dense_fullvec(rng):
@@ -227,8 +232,10 @@ def test_coeff_bracket_accepts_tangent_vectors():
 
 
 def test_to_matrix_matches_dense_combination():
+    zero = AlgMat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+
     def dense(vec):
-        total = AlgMat.zero()
+        total = zero
         for i, c in enumerate(vec.coeffs, start=1):
             total = total + basis_matrix(i) * c
         return total
@@ -239,7 +246,7 @@ def test_to_matrix_matches_dense_combination():
         y = FullVec(random_element(rng) for _ in range(8))
         assert x.to_matrix() == dense(x)
         assert y.to_matrix() == dense(y)
-    assert MVec.zero().to_matrix() == AlgMat.zero()
+    assert MVec.zero().to_matrix() == zero
 
 
 def _ad(i, x):
@@ -263,9 +270,9 @@ def test_ad_action_skew_for_metric():
 
 
 def test_stabilizer_element_is_group_like():
-    h = stabilizer_element(0.3, 1.1)
+    h = np.array(stabilizer_element(0.3, 1.1))
     assert abs(np.linalg.det(h) - 1.0) < 1e-12
-    hinv = stabilizer_element(-0.3, -1.1)
+    hinv = np.array(stabilizer_element(-0.3, -1.1))
     assert np.max(np.abs(h @ hinv - np.eye(3))) < 1e-12
 
 
@@ -284,7 +291,7 @@ def test_ad_numeric_matches_rotation_matrix():
 
 
 def test_rotation_matrix_block_structure():
-    mat = rotation_action_matrix(0.0, math.pi / 2)
+    mat = np.array(rotation_action_matrix(0.0, math.pi / 2))
     # at t = 0 the first block is rotation by pi, the others by pi/2
     assert np.allclose(mat[0:2, 0:2], [[-1, 0], [0, -1]], atol=1e-12)
     assert np.allclose(mat[2:4, 2:4], [[0, 1], [-1, 0]], atol=1e-12)
@@ -360,7 +367,7 @@ def test_vectors_and_matrices_reject_float_scalars():
     with pytest.raises(TypeError):
         MVec.basis(1) * 0.5
     with pytest.raises(TypeError):
-        AlgMat.identity() * 0.5
+        AlgMat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) * 0.5
     with pytest.raises(TypeError):
         MVec([0.5, 0, 0, 0, 0, 0])
     with pytest.raises(TypeError):
