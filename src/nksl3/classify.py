@@ -21,7 +21,7 @@ from . import linalg
 from .exactfield import ONE, SQRT3, ZERO, FieldElem
 from .liealg import MVec, dphi
 from .nkgeom import J, curvature, curvature_components
-from .surfaces import family
+from .surfaces import generator
 
 _HALF = Fraction(1, 2)
 
@@ -181,26 +181,12 @@ def tangency_form() -> tuple[tuple[int, int, int, int, int], ...]:
 _ROW_TRIPLES = tuple(itertools.combinations(range(6), 3))
 
 
-def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
-    """Whether R(X, JX)JX ∈ span{X, JX} for a nonzero rational X, decided
-    in integer arithmetic.
-
-    X is scaled to integers straight from the numerators and denominators
-    of its int or Fraction coordinates (a float raises TypeError), JX is the
-    signed permutation `J.rows` of it, and V = D·R(X, JX)JX is the cubic
-    form `tangency_form` evaluated at X.  J² = −Id has no real eigenvector,
-    so X and JX are independent, and V lies in their span exactly when all
-    twenty 3×3 minors of [X | JX | V] vanish.  `tangency_test` is the
-    reference route this must agree with.
-    """
-    try:
-        scale = math.lcm(*(c.denominator for c in coords))
-    except AttributeError:
-        raise TypeError("the tangency test takes int or Fraction "
-                        f"coordinates, not {coords!r}") from None
-    x = [c.numerator * (scale // c.denominator) for c in coords]
-    if not any(x):
-        raise ValueError("the tangency test needs a nonzero vector")
+def _in_plane(x) -> bool:
+    """Whether V = D·R(X, JX)JX lies in span{X, JX}, for a nonzero X over
+    any commutative ring (int, FieldElem): JX is the signed permutation
+    `J.rows` of X, V is `tangency_form` at X, and as J² = −Id keeps X and JX
+    independent, V is in their span iff all twenty 3×3 minors of
+    [X | JX | V] vanish.  Only +, − and ×; no type checks, no scaling."""
     jx = [sign * x[source] for source, sign in J.rows]
     v = [0] * 6
     for l, p, q, r, c in tangency_form():
@@ -211,6 +197,21 @@ def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
                 + x[t] * (jx[r] * v[s] - jx[s] * v[r])):
             return False
     return True
+
+
+def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
+    """Whether R(X, JX)JX ∈ span{X, JX} for a nonzero X with int or Fraction
+    coordinates (a float raises TypeError), scaled to integers for the
+    kernel `_in_plane`; `tangency_test` is the reference route."""
+    try:
+        scale = math.lcm(*(c.denominator for c in coords))
+    except AttributeError:
+        raise TypeError("the tangency test takes int or Fraction "
+                        f"coordinates, not {coords!r}") from None
+    x = [c.numerator * (scale // c.denominator) for c in coords]
+    if not any(x):
+        raise ValueError("the tangency test needs a nonzero vector")
+    return _in_plane(x)
 
 
 MAX_GRID_CELLS = 1_000_000
@@ -304,26 +305,29 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     (a, b) for both ε, expecting every grid cell to fail the tangency test.
 
     The claimed point is irrational and goes through `tangency_test` over
-    the field.  Every grid cell is rational, so the sweep uses the integer
-    kernel `rational_tangency` on the cubic form `tangency_form`: a cell
-    passes only when all twenty 3×3 minors of [X | JX | R(X, JX)JX] vanish.
-
-    Grid evidence, not a proof of uniqueness.
-    """
+    the field.  The grid is scaled to integers once, by λ = 2m² with m the
+    lcm of the denominators of a_min, a_step, b_min and b_step, so that
+    λ·X = λ·(a, 0, 1, 0, ½(a²+ε), b) is integral in every cell.  Each minor
+    of [X | JX | V] is homogeneous of degree 5 in X, so X ↦ λX multiplies
+    it by λ⁵ ≠ 0 and keeps the verdict; the cells go straight to the kernel
+    `_in_plane`, and a Fraction is built only to label a cell that passes.
+    Grid evidence, not a proof of uniqueness."""
     grid = grid or GridSpec()
     claimed = tangency_test(claimed_case4_point()).in_span
-    cells = 0
+    scale = 2 * math.lcm(grid.a_min.denominator, grid.a_step.denominator,
+                         grid.b_min.denominator, grid.b_step.denominator) ** 2
+    a_values = tuple(grid.a_values())
+    b_scaled = tuple(int(b * scale) for b in grid.b_values())
     unexpected: list[str] = []
-    b_values = tuple(grid.b_values())
     for epsilon in (-1, 1):
-        for a in grid.a_values():
-            head = case4_coords(epsilon, a, 0)[:5]
-            for b in b_values:
-                cells += 1
-                if rational_tangency((*head, b)):
+        for a in a_values:
+            head = [int(c * scale) for c in case4_coords(epsilon, a, 0)[:5]]
+            for b in b_scaled:
+                if _in_plane((*head, b)):
                     unexpected.append(CaseCandidate(
                         4, epsilon=epsilon, a=FieldElem(a),
-                        b=FieldElem(b)).label())
+                        b=FieldElem(Fraction(b, scale))).label())
+    cells = 2 * len(a_values) * len(b_scaled)
     return PinReport(claimed, cells, tuple(unexpected), grid)
 
 
@@ -338,12 +342,12 @@ _SURVIVOR_TABLE: tuple[tuple[str, CaseCandidate, str], ...] = (
 
 def match_survivors() -> dict[str, str | None]:
     """Map each surviving case label to its surface family, or to None when
-    the case vector is not exactly the family's X.  Both planes are
-    span{X, JX}, so X is the whole comparison; the `classify.case*` checks
-    decide tangency.  The bridge from tangent data to the surfaces is that
-    geodesics from the base point are exp(Y)·o in a naturally reductive
-    space."""
-    return {label: fid if candidate.vector() == family(fid).x else None
+    the case vector is outside the family's plane span{X, JX} (so −X still
+    matches).  The `classify.case*` checks decide tangency.  The bridge from
+    tangent data to the surfaces is that geodesics from the base point are
+    exp(Y)·o in a naturally reductive space."""
+    return {label: fid if in_span(candidate.vector(),
+                                  *generator(fid)).contained else None
             for label, candidate, fid in _SURVIVOR_TABLE}
 
 

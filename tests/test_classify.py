@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nksl3 import cli
+from nksl3 import classify, cli
 from nksl3.classify import (CaseCandidate, GridSpec, case4_coords,
                             claimed_case4_point,
                             curvature_table, eliminate_case2, in_span,
@@ -223,6 +223,61 @@ def test_pin_case4_skips_nonpositive_a():
     assert a_values == [Fraction(1, 2), Fraction(1)]
 
 
+def _per_cell_labels(grid):
+    """The reference sweep: every cell through `rational_tangency`."""
+    cells, labels = 0, []
+    for epsilon in (-1, 1):
+        for a in grid.a_values():
+            for b in grid.b_values():
+                cells += 1
+                if rational_tangency(case4_coords(epsilon, a, b)):
+                    labels.append(CaseCandidate(
+                        4, epsilon=epsilon, a=FieldElem(a),
+                        b=FieldElem(b)).label())
+    return cells, tuple(labels)
+
+
+def test_pin_case4_matches_the_per_cell_route():
+    # a shrunk dense-style grid with fractional offsets, a_min < 0, empty
+    for spec in ("3/200:43/200:1/40,-2387/800:-1587/800:1/40",
+                 "-1:1:1/3,-1:1:1/2", "0:0:1,0:0:1"):
+        grid = GridSpec.parse(spec)
+        report = pin_case4(grid)
+        assert (report.cells, report.unexpected_passes) \
+            == _per_cell_labels(grid), spec
+
+
+def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
+    # no rational cell passes, so only the kernel's arguments show a wrong
+    # scale.  Here m = 3, and at a = 2/3 the e5 coordinate m²·½(a²+ε) is
+    # not an integer: only λ = 2m² keeps every coordinate integral.  Cells
+    # with b = 1/3 are made to pass, so their labels are read back from
+    # the scaled coordinates.
+    grid = GridSpec.parse("0:2:1/3,-1:1:1/3")
+    calls = []
+
+    def record(x):
+        calls.append(x)
+        return 3 * x[5] == x[2]
+
+    monkeypatch.setattr(classify, "_in_plane", record)
+    monkeypatch.setattr(classify, "rational_tangency", None)
+    report = pin_case4(grid)
+    cells = [(epsilon, a, b) for epsilon in (-1, 1)
+             for a in grid.a_values() for b in grid.b_values()]
+    assert len(calls) == len(cells) == report.cells
+    scale = calls[0][2]
+    assert type(scale) is int and scale > 0
+    for x, (epsilon, a, b) in zip(calls, cells):
+        assert all(type(c) is int for c in x)
+        assert tuple(x) == tuple(scale * c
+                                 for c in case4_coords(epsilon, a, b))
+    assert report.unexpected_passes == tuple(
+        CaseCandidate(4, epsilon=epsilon, a=FieldElem(a),
+                      b=FieldElem(b)).label()
+        for epsilon, a, b in cells if b == Fraction(1, 3))
+
+
 def test_grid_cells_counts_the_sweep():
     # the default grid, a_min < 0, fractional steps and the empty grid
     for spec in (None, "-1:1:1/3,-1:1:1/2", "1/7:5/3:2/9,-2/3:1/5:1/4",
@@ -246,9 +301,15 @@ def test_match_survivors():
                                  "4": "f4", "5": "f5"}
 
 
-def test_match_survivors_refuses_a_negated_x(monkeypatch):
+def test_match_survivors_compares_planes(monkeypatch):
+    # −X and 2·X span the family's plane, so they match; f3's X does not
     fam = FAMILIES["f2"]
-    monkeypatch.setitem(FAMILIES, "f2", dataclasses.replace(fam, x=-fam.x))
+    for x in (-fam.x, fam.x * 2):
+        monkeypatch.setitem(FAMILIES, "f2", dataclasses.replace(fam, x=x))
+        assert match_survivors() == {"1": "f1", "3+": "f2", "3-": "f3",
+                                     "4": "f4", "5": "f5"}
+    monkeypatch.setitem(FAMILIES, "f2",
+                        dataclasses.replace(fam, x=FAMILIES["f3"].x))
     assert match_survivors() == {"1": "f1", "3+": None, "3-": "f3",
                                  "4": "f4", "5": "f5"}
     spec = cli.SuiteSpec("classify", grid=GridSpec.parse("0:1:1/2,-1:1:1/2"))
@@ -352,6 +413,34 @@ def test_rational_tangency_agrees_with_tangency_test_on_grid_sample():
         candidate = CaseCandidate(4, epsilon=epsilon, a=FieldElem(a),
                                   b=FieldElem(b))
         assert rational_tangency(case4_coords(epsilon, a, b)) \
+            == tangency_test(candidate).in_span, candidate.label()
+
+
+def test_kernel_is_ring_generic():
+    # on FieldElem coordinates the kernel agrees with the field route:
+    # the survivors, the case-2 vectors and their dphi images, the claimed
+    # case-4 point and irrational perturbations of it
+    survivors = [CaseCandidate(1), CaseCandidate(3, epsilon=1),
+                 CaseCandidate(3, epsilon=-1), claimed_case4_point(),
+                 CaseCandidate(5)]
+    for candidate in survivors:
+        assert tangency_test(candidate).in_span
+        assert classify._in_plane(candidate.vector().coeffs), \
+            candidate.label()
+    reports = eliminate_case2()
+    assert len(reports) == 4
+    for report in reports:
+        assert classify._in_plane(report.vector.coeffs) \
+            == (not report.eliminated), report.representative
+    rng = random.Random(RNG_SEED + 6)
+    point = claimed_case4_point()
+    for _ in range(10):
+        a = point.a + FieldElem(0, Fraction(rng.randint(-9, 9), 97),
+                                0, Fraction(rng.randint(-9, 9), 89))
+        b = FieldElem(Fraction(rng.randint(-9, 9), 7), 0,
+                      Fraction(rng.randint(-9, 9), 5))
+        candidate = CaseCandidate(4, epsilon=rng.choice((-1, 1)), a=a, b=b)
+        assert classify._in_plane(candidate.vector().coeffs) \
             == tangency_test(candidate).in_span, candidate.label()
 
 
