@@ -65,7 +65,8 @@ class CaseCandidate:
         if given != wanted:
             raise ValueError(f"case {self.case} takes exactly the "
                              f"parameters {wanted}, not {given}")
-        if self.epsilon not in (None, -1, 1):
+        if self.epsilon is not None and (type(self.epsilon) is not int
+                                         or self.epsilon not in (-1, 1)):
             raise ValueError("epsilon must be -1 or +1")
         if self.a is not None and self.a.sign() <= 0:
             raise ValueError("case 4 requires a > 0")
@@ -200,14 +201,17 @@ def _in_plane(x) -> bool:
 
 
 def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
-    """Whether R(X, JX)JX ∈ span{X, JX} for a nonzero X with int or Fraction
-    coordinates (a float raises TypeError), scaled to integers for the
-    kernel `_in_plane`; `tangency_test` is the reference route."""
-    try:
-        scale = math.lcm(*(c.denominator for c in coords))
-    except AttributeError:
+    """Whether R(X, JX)JX ∈ span{X, JX} for a nonzero X with six int or
+    Fraction coordinates (a float or bool raises TypeError), scaled to
+    integers for the kernel `_in_plane`; `tangency_test` is the reference
+    route."""
+    if len(coords) != 6:
+        raise ValueError(f"the tangency test takes 6 coordinates, not {len(coords)}")
+    if not all(isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+               for c in coords):
         raise TypeError("the tangency test takes int or Fraction "
-                        f"coordinates, not {coords!r}") from None
+                        f"coordinates, not {coords!r}")
+    scale = math.lcm(*(c.denominator for c in coords))
     x = [c.numerator * (scale // c.denominator) for c in coords]
     if not any(x):
         raise ValueError("the tangency test needs a nonzero vector")

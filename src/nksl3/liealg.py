@@ -8,7 +8,9 @@ constants, component Gram matrices and the one dual basis, through which
 exact and float matrix coordinates are read, are computed once from the
 basis matrices, never transcribed.  The matrix `bracket` is the definition
 and the reference route; every working bracket, `coeff_bracket`, is
-contracted from the structure constants without a 3×3 product.
+contracted from the structure constants without a 3×3 product.  A matrix,
+`AlgMat`, is its nine entries row by row: the same immutable `_CoeffVec`
+as the coefficient vectors, with the product and transpose on top.
 """
 
 from __future__ import annotations
@@ -32,153 +34,9 @@ SUBSPACES: dict[str, tuple[int, ...]] = {
 }
 
 
-class AlgMat:
-    """A 3×3 matrix over Q(√2, √3) with exact arithmetic."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[Iterable[object]]) -> None:
-        converted = []
-        for row in rows:
-            entries = []
-            for entry in row:
-                value = coerce(entry)
-                if value is None:
-                    raise TypeError(f"matrix entry must be a field scalar, got {entry!r}")
-                entries.append(value)
-            converted.append(tuple(entries))
-        if len(converted) != 3 or any(len(row) != 3 for row in converted):
-            raise ValueError("AlgMat is 3×3")
-        object.__setattr__(self, "_rows", tuple(converted))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("AlgMat is immutable")
-
-    @classmethod
-    def _raw(cls, rows: tuple[tuple[FieldElem, ...], ...]) -> "AlgMat":
-        mat = object.__new__(cls)
-        object.__setattr__(mat, "_rows", rows)
-        return mat
-
-    @property
-    def rows(self) -> tuple[tuple[FieldElem, ...], ...]:
-        return self._rows
-
-    def __getitem__(self, index: tuple[int, int]) -> FieldElem:
-        i, j = index
-        return self._rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgMat):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __bool__(self) -> bool:
-        return any(entry for row in self._rows for entry in row)
-
-    def __add__(self, other: "AlgMat") -> "AlgMat":
-        if not isinstance(other, AlgMat):
-            return NotImplemented
-        return AlgMat._raw(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)))
-
-    def __sub__(self, other: "AlgMat") -> "AlgMat":
-        if not isinstance(other, AlgMat):
-            return NotImplemented
-        return AlgMat._raw(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)))
-
-    def __neg__(self) -> "AlgMat":
-        return AlgMat._raw(tuple(tuple(-a for a in row) for row in self._rows))
-
-    def __mul__(self, other: object) -> "AlgMat":
-        value = coerce(other)
-        if value is None:
-            return NotImplemented
-        return AlgMat._raw(tuple(tuple(a * value for a in row) for row in self._rows))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "AlgMat") -> "AlgMat":
-        if not isinstance(other, AlgMat):
-            return NotImplemented
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = ZERO
-                for k in range(3):
-                    left = self._rows[i][k]
-                    if left:
-                        acc = acc + left * other._rows[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return AlgMat._raw(tuple(rows))
-
-    def transpose(self) -> "AlgMat":
-        return AlgMat._raw(tuple(tuple(self._rows[j][i] for j in range(3))
-                                 for i in range(3)))
-
-    def trace(self) -> FieldElem:
-        return self._rows[0][0] + self._rows[1][1] + self._rows[2][2]
-
-    def to_float(self) -> FloatMat:
-        return [[entry.to_float() for entry in row] for row in self._rows]
-
-    def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(entry) for entry in row) for row in self._rows)
-        return f"AlgMat[{body}]"
-
-
-_THIRD = Fraction(1, 3)
-
-# Basis adapted to the splitting: m₁ = span{e₁, e₂} (traceless symmetric,
-# upper-left block), m₂ = span{e₃, e₄} (third column), m₃ = span{e₅, e₆}
-# (third row), h = span{e₇, e₈} (center direction and the rotation).
-_BASIS: tuple[AlgMat, ...] = (
-    AlgMat([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-    AlgMat([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-    AlgMat([[0, 0, SQRT2], [0, 0, 0], [0, 0, 0]]),
-    AlgMat([[0, 0, 0], [0, 0, SQRT2], [0, 0, 0]]),
-    AlgMat([[0, 0, 0], [0, 0, 0], [-SQRT2, 0, 0]]),
-    AlgMat([[0, 0, 0], [0, 0, 0], [0, -SQRT2, 0]]),
-    AlgMat([[SQRT3 * _THIRD, 0, 0], [0, SQRT3 * _THIRD, 0],
-            [0, 0, SQRT3 * Fraction(-2, 3)]]),
-    AlgMat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
-)
-
-
-def basis_matrix(i: int) -> AlgMat:
-    """The basis element eᵢ, 1 ≤ i ≤ 8."""
-    if not 1 <= i <= 8:
-        raise ValueError(f"basis index out of range: {i}")
-    return _BASIS[i - 1]
-
-
-def bracket(x: AlgMat, y: AlgMat) -> AlgMat:
-    return (x @ y) - (y @ x)
-
-
-def _trace_product(x: AlgMat, y: AlgMat) -> FieldElem:
-    acc = ZERO
-    for i in range(3):
-        for k in range(3):
-            left = x.rows[i][k]
-            if left:
-                acc = acc + left * y.rows[k][i]
-    return acc
-
-
-_MINUS_HALF = FieldElem(Fraction(-1, 2))
-
-
 class _CoeffVec:
-    """Shared arithmetic for coefficient vectors over a fixed basis slice."""
+    """An immutable vector of field entries over a fixed basis: the algebra
+    basis for `MVec` and `FullVec`, the matrix units for `AlgMat`."""
 
     __slots__ = ("_coeffs",)
     _LENGTH = 0
@@ -279,6 +137,93 @@ class _CoeffVec:
         return f"{type(self).__name__}({self})"
 
 
+class AlgMat(_CoeffVec):
+    """A 3×3 matrix over Q(√2, √3) with exact arithmetic: its nine entries,
+    row by row, as a `_CoeffVec` over the matrix units."""
+
+    _LENGTH = 9
+
+    def __init__(self, rows: Iterable[Iterable[object]]) -> None:
+        rows = [tuple(row) for row in rows]
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+            raise ValueError("AlgMat is 3×3")
+        super().__init__(entry for row in rows for entry in row)
+
+    @property
+    def rows(self) -> tuple[tuple[FieldElem, ...], ...]:
+        c = self._coeffs
+        return c[0:3], c[3:6], c[6:9]
+
+    def __getitem__(self, index: tuple[int, int]) -> FieldElem:
+        r, c = index
+        return self.rows[r][c]
+
+    def __matmul__(self, other: "AlgMat") -> "AlgMat":
+        if not isinstance(other, AlgMat):
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        return AlgMat._raw(tuple(
+            sum((a[i + k] * b[3 * k + j] for k in range(3) if a[i + k]), ZERO)
+            for i in range(0, 9, 3) for j in range(3)))
+
+    def transpose(self) -> "AlgMat":
+        c = self._coeffs
+        return AlgMat._raw(c[0::3] + c[1::3] + c[2::3])
+
+    def trace(self) -> FieldElem:
+        return sum(self._coeffs[::4], ZERO)
+
+    def to_float(self) -> FloatMat:
+        return [[entry.to_float() for entry in row] for row in self.rows]
+
+    def __repr__(self) -> str:
+        body = "; ".join(", ".join(str(entry) for entry in row) for row in self.rows)
+        return f"AlgMat[{body}]"
+
+    __str__ = __repr__
+
+
+_THIRD = Fraction(1, 3)
+
+# Basis adapted to the splitting: m₁ = span{e₁, e₂} (traceless symmetric,
+# upper-left block), m₂ = span{e₃, e₄} (third column), m₃ = span{e₅, e₆}
+# (third row), h = span{e₇, e₈} (center direction and the rotation).
+_BASIS: tuple[AlgMat, ...] = (
+    AlgMat([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+    AlgMat([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+    AlgMat([[0, 0, SQRT2], [0, 0, 0], [0, 0, 0]]),
+    AlgMat([[0, 0, 0], [0, 0, SQRT2], [0, 0, 0]]),
+    AlgMat([[0, 0, 0], [0, 0, 0], [-SQRT2, 0, 0]]),
+    AlgMat([[0, 0, 0], [0, 0, 0], [0, -SQRT2, 0]]),
+    AlgMat([[SQRT3 * _THIRD, 0, 0], [0, SQRT3 * _THIRD, 0],
+            [0, 0, SQRT3 * Fraction(-2, 3)]]),
+    AlgMat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+)
+
+
+def basis_matrix(i: int) -> AlgMat:
+    """The basis element eᵢ, 1 ≤ i ≤ 8."""
+    if not 1 <= i <= 8:
+        raise ValueError(f"basis index out of range: {i}")
+    return _BASIS[i - 1]
+
+
+def bracket(x: AlgMat, y: AlgMat) -> AlgMat:
+    return (x @ y) - (y @ x)
+
+
+def _trace_product(x: AlgMat, y: AlgMat) -> FieldElem:
+    """tr(XY) = Σₚ xₚ·(Yᵀ)ₚ over the flat entries."""
+    acc = ZERO
+    for left, right in zip(x.coeffs, y.transpose().coeffs):
+        if left:
+            acc = acc + left * right
+    return acc
+
+
+_MINUS_HALF = FieldElem(Fraction(-1, 2))
+
+
 class MVec(_CoeffVec):
     """A tangent vector: coefficients over (e₁, …, e₆)."""
 
@@ -306,21 +251,20 @@ class FullVec(_CoeffVec):
         return self._coeffs[6:]
 
 
-_BASIS_ENTRIES: tuple[tuple[tuple[int, int, FieldElem], ...], ...] = tuple(
-    tuple((r, c, entry) for r, row in enumerate(mat.rows)
-          for c, entry in enumerate(row) if entry)
+_BASIS_ENTRIES: tuple[tuple[tuple[int, FieldElem], ...], ...] = tuple(
+    tuple((p, entry) for p, entry in enumerate(mat.coeffs) if entry)
     for mat in _BASIS)
 
 
 def _combine(coeffs: Sequence[FieldElem]) -> AlgMat:
-    """Σ cᵢ·eᵢ, accumulated only at the nonzero entries (r, c, value) of
-    each eᵢ."""
-    rows = [[ZERO] * 3 for _ in range(3)]
+    """Σ cᵢ·eᵢ, accumulated only at the nonzero entries (flat index, value)
+    of each eᵢ."""
+    flat = [ZERO] * 9
     for coeff, entries in zip(coeffs, _BASIS_ENTRIES):
         if coeff:
-            for r, c, entry in entries:
-                rows[r][c] = rows[r][c] + entry * coeff
-    return AlgMat._raw(tuple(tuple(row) for row in rows))
+            for p, entry in entries:
+                flat[p] = flat[p] + entry * coeff
+    return AlgMat._raw(tuple(flat))
 
 
 @cache
@@ -368,8 +312,8 @@ def decompose(x: AlgMat) -> FullVec:
     """Coefficients of a traceless matrix over (e₁, …, e₈), read through `_dual`."""
     if x.trace():
         raise ValueError("matrix has nonzero trace, not in the algebra")
-    rows = x.rows
-    return FullVec._raw(tuple(sum((w * rows[r][c] for r, c, w in entries), ZERO)
+    flat = x.coeffs
+    return FullVec._raw(tuple(sum((w * flat[3 * r + c] for r, c, w in entries), ZERO)
                               for entries in _dual()))
 
 

@@ -481,3 +481,23 @@ def test_case4_coords_match_candidate_vector():
             assert vector == MVec(case4_coords(epsilon, a, b))
             assert vector == (_e(1) * a + _e(3)
                               + _e(5) * ((a * a + epsilon) / 2) + _e(6) * b)
+
+
+def test_rational_tangency_refuses_wrong_length_and_bools():
+    with pytest.raises(ValueError):
+        rational_tangency((1, 0, 0, 0, 0, 0, 7))
+    with pytest.raises(ValueError):
+        rational_tangency((1, 0, 0))
+    with pytest.raises(TypeError):
+        rational_tangency((True, 0, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        rational_tangency((1, 0, 0, 0, False, 0))
+
+
+def test_candidate_refuses_non_int_epsilon():
+    for case, epsilon in ((2, True), (3, False), (3, 1.0), (2, Fraction(1)),
+                          (2, -1.0)):
+        with pytest.raises(ValueError, match="epsilon must be -1 or"):
+            CaseCandidate(case, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon must be -1 or"):
+        CaseCandidate(4, epsilon=True, a=ONE, b=ZERO)

@@ -372,3 +372,58 @@ def test_vectors_and_matrices_reject_float_scalars():
         MVec([0.5, 0, 0, 0, 0, 0])
     with pytest.raises(TypeError):
         AlgMat([[0.5, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+def _dense_matrix(rng):
+    return AlgMat([[random_element(rng) for _ in range(3)] for _ in range(3)])
+
+
+def test_algmat_shape_type_and_immutability():
+    with pytest.raises(ValueError):
+        AlgMat([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        AlgMat([[1, 0, 0], [0, 1], [0, 0, 1]])
+    with pytest.raises(ValueError):
+        AlgMat([[1, 0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(TypeError):
+        AlgMat([[1, 0, 0], [0, 1.0, 0], [0, 0, 1]])
+    with pytest.raises(TypeError):
+        AlgMat([[1, 0, 0], [0, True, 0], [0, 0, 1]])
+    mat = basis_matrix(1)
+    with pytest.raises(AttributeError):
+        mat.rows = ()
+    with pytest.raises(AttributeError):
+        mat._coeffs = ()
+
+
+def test_algmat_repr_is_its_rows():
+    mat = AlgMat([[1, 0, SQRT2], [0, Fraction(-1, 2), 0], [3, 0, 0]])
+    assert repr(mat) == str(mat) == "AlgMat[1, 0, √2; 0, -1/2, 0; 3, 0, 0]"
+    assert mat.rows == ((ONE, ZERO, SQRT2),
+                        (ZERO, FieldElem(Fraction(-1, 2)), ZERO),
+                        (FieldElem(3), ZERO, ZERO))
+
+
+def test_algmat_transpose_and_product_on_dense_matrices():
+    rng = random.Random(RNG_SEED + 11)
+    for _ in range(10):
+        x, y = _dense_matrix(rng), _dense_matrix(rng)
+        t = x.transpose()
+        assert all(t[r, c] == x[c, r] for r in range(3) for c in range(3))
+        assert t.transpose() == x
+        assert (x @ y).transpose() == y.transpose() @ x.transpose()
+        product = x @ y
+        for r in range(3):
+            for c in range(3):
+                assert product[r, c] == sum((x[r, k] * y[k, c] for k in range(3)),
+                                            ZERO)
+        assert x.trace() == x[0, 0] + x[1, 1] + x[2, 2]
+
+
+def test_algmat_never_equals_a_vector():
+    mat = AlgMat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert mat != FullVec.zero() and mat != MVec.zero()
+    assert FullVec.zero() != mat and MVec.zero() != mat
+    assert mat == AlgMat.zero() and not mat
+    with pytest.raises(TypeError):
+        mat + FullVec.zero()
