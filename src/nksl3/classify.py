@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Sequence
 
-from . import linalg
+from . import exactfield, linalg
 from .exactfield import ONE, SQRT3, ZERO, FieldElem
 from .liealg import MVec, dphi
 from .nkgeom import J, curvature, curvature_components
@@ -68,6 +68,13 @@ class CaseCandidate:
         if self.epsilon is not None and (type(self.epsilon) is not int
                                          or self.epsilon not in (-1, 1)):
             raise ValueError("epsilon must be -1 or +1")
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            exact = exactfield.coerce(value)
+            if value is not None and exact is None:
+                raise TypeError(f"{name} must be a FieldElem, an int or "
+                                f"a Fraction, not {type(value).__name__}")
+            object.__setattr__(self, name, exact)
         if self.a is not None and self.a.sign() <= 0:
             raise ValueError("case 4 requires a > 0")
 

@@ -1,8 +1,8 @@
-"""Exact Gaussian elimination over Q(√2, √3).
+"""Exact linear algebra over Q(√2, √3).
 
-Matrices are lists of rows of FieldElem.  Everything here is division-based
-and exact, so ranks, solution coefficients and signatures carry proof force
-rather than floating-point confidence.
+Matrices are lists of rows of FieldElem.  Ranks, spans and inverses come
+from Gaussian elimination, signatures from the characteristic polynomial;
+all of it is exact, so it carries proof force, not floating-point confidence.
 """
 
 from __future__ import annotations
@@ -90,56 +90,27 @@ def invert(rows: Sequence[Sequence[FieldElem]]) -> Matrix:
 def signature(gram: Sequence[Sequence[FieldElem]]) -> tuple[int, int, int]:
     """Inertia (positive, negative, null) of a symmetric matrix.
 
-    Congruence diagonalization: diagonal pivots are cleared symmetrically,
-    and a zero diagonal with a nonzero off-diagonal entry is repaired by the
-    hyperbolic basis change uᵢ ← uᵢ + uⱼ before pivoting.
+    The Faddeev–LeVerrier recurrence M₁ = I, cₖ = −tr(A·Mₖ)/k,
+    Mₖ₊₁ = A·Mₖ + cₖ·I gives the characteristic polynomial
+    λⁿ + c₁λⁿ⁻¹ + … + cₙ.  A symmetric matrix has only real eigenvalues, so
+    Descartes' rule of signs is exact: the sign changes among the nonzero
+    coefficients count the positive eigenvalues, and the trailing zero
+    coefficients count the null ones.
     """
     n = len(gram)
-    mat = _copy(gram)
-    for i in range(n):
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError("signature needs a symmetric matrix")
-    pos = neg = null = 0
-    for k in range(n):
-        if not mat[k][k]:
-            swap = next((j for j in range(k + 1, n) if mat[j][j]), None)
-            if swap is not None:
-                _swap_symmetric(mat, k, swap)
-            else:
-                pair = next(((i, j) for i in range(k, n)
-                             for j in range(i + 1, n) if mat[i][j]), None)
-                if pair is None:
-                    null += n - k
-                    break
-                i, j = pair
-                _add_symmetric(mat, i, j)
-                if i != k:
-                    _swap_symmetric(mat, k, i)
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            if mat[i][k]:
-                factor = mat[i][k] / pivot
-                for j in range(n):
-                    mat[i][j] = mat[i][j] - factor * mat[k][j]
-                for j in range(n):
-                    mat[j][i] = mat[j][i] - factor * mat[j][k]
-        if pivot.sign() > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg, null
-
-
-def _swap_symmetric(mat: Matrix, i: int, j: int) -> None:
-    mat[i], mat[j] = mat[j], mat[i]
-    for row in mat:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_symmetric(mat: Matrix, i: int, j: int) -> None:
-    n = len(mat)
-    for col in range(n):
-        mat[i][col] = mat[i][col] + mat[j][col]
-    for row in range(n):
-        mat[row][i] = mat[row][i] + mat[row][j]
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("signature needs a symmetric matrix")
+    coeffs = [ONE]
+    power = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        product = [[sum((a * power[l][j] for l, a in enumerate(row)), ZERO)
+                    for j in range(n)] for row in gram]
+        coeff = -sum((product[i][i] for i in range(n)), ZERO) / k
+        coeffs.append(coeff)
+        power = [[entry + coeff if i == j else entry
+                  for j, entry in enumerate(row)]
+                 for i, row in enumerate(product)]
+    null = n - max(i for i, coeff in enumerate(coeffs) if coeff)
+    signs = [coeff.sign() for coeff in coeffs if coeff]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, n - null - pos, null

@@ -1,14 +1,14 @@
 """The five totally geodesic almost complex surfaces through the base coset.
 
 Each family carries an exact tangent generator X, the orbit subgroup it
-sweeps out, and the closed form of exp(·) in the parameters (u, v); its
+sweeps out, and the closed form of exp(·) in the parameters (u, v), with
+the plane coordinates (p, q) of (u, v) that make it exp(p·X + q·JX); its
 plane is span{X, JX}, with JX derived from X.  `FAMILIES` is the one table
 of these surfaces: the classification and the CLI read their planes from
 it.  Certification is exact tangent algebra (induced signature, sectional
-constant, and geodesy from one Lie closure of span{X, JX}) plus a numeric
-cross-check that compares each closed form with the matrix exponential as
-a matrix.  Brackets come from `liealg.coeff_bracket`; matrices appear only
-as float exponential arguments.
+constant, and geodesy from one Lie closure of span{X, JX}, bracketed by
+`liealg.coeff_bracket`) plus a numeric cross-check that compares each
+closed form with expm(p·X + q·JX), X and JX read as floats, as a matrix.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .exactfield import SQRT2, SQRT3, FieldElem
-from .liealg import (FloatMat, FullVec, MVec, basis_float, coeff_bracket,
-                     matmul, metric)
+from .liealg import FloatMat, FullVec, MVec, coeff_bracket, matmul, metric
 from .nkgeom import J, sectional
 
 _HALF = Fraction(1, 2)
@@ -41,7 +40,7 @@ class SurfaceFamily:
     expected_signature: tuple[int, int, int]
     expected_curvature: FieldElem | None
     closed_form: Callable[[float, float], FloatMat]
-    exp_argument: Callable[[float, float], FloatMat]
+    plane_coords: Callable[[float, float], tuple[float, float]]
     u_range: tuple[float, float]
     v_range: tuple[float, float]
 
@@ -51,9 +50,6 @@ def _mvec(*pairs: tuple[int, FieldElem | int | Fraction]) -> MVec:
     for index, value in pairs:
         coeffs[index - 1] = value
     return MVec(coeffs)
-
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _closed_f1(u: float, v: float) -> FloatMat:
@@ -108,22 +104,6 @@ def _closed_f5(u: float, v: float) -> FloatMat:
     return [[1.0, 0.0, u], [0.0, 1.0, v], [0.0, 0.0, 1.0]]
 
 
-def _polar_argument(x: FloatMat, y: FloatMat, factor: float
-                    ) -> Callable[[float, float], FloatMat]:
-    def argument(u: float, v: float) -> FloatMat:
-        radius, cos, sin = factor * u, math.cos(v), math.sin(v)
-        return [[radius * (cos * a + sin * b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(x, y)]
-    return argument
-
-
-def _linear_argument(x: FloatMat, y: FloatMat
-                     ) -> Callable[[float, float], FloatMat]:
-    def argument(u: float, v: float) -> FloatMat:
-        return [[u * a + v * b for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
-    return argument
-
-
 def _build_families() -> dict[str, SurfaceFamily]:
     inv_sqrt2 = SQRT2 * _HALF
     inv_sqrt3 = SQRT3 * Fraction(1, 3)
@@ -136,34 +116,29 @@ def _build_families() -> dict[str, SurfaceFamily]:
     x5 = _mvec((3, 1))
 
     two_pi = 2.0 * math.pi
-    e = basis_float()
+
+    def polar(u: float, v: float) -> tuple[float, float]:
+        return 2.0 * u * math.cos(v), 2.0 * u * math.sin(v)
+
     families = [
+        # JX = −e₂: the closed form's cos v·e₁ + sin v·e₂ is cos v·X − sin v·JX
         SurfaceFamily(
             "f1", "SL(2,R)", 3, x1, (0, 2, 0), FieldElem(4), _closed_f1,
-            _polar_argument(e[0], e[1], 1.0), (-2.0, 2.0), (0.0, two_pi)),
-        SurfaceFamily(
-            "f2", "SO(3)", 3, x2, (2, 0, 0), FieldElem(1), _closed_f2,
-            _polar_argument(x2.to_matrix().to_float(),
-                            J.apply(x2).to_matrix().to_float(), 2.0),
+            lambda u, v: (u * math.cos(v), -u * math.sin(v)),
             (-2.0, 2.0), (0.0, two_pi)),
-        SurfaceFamily(
-            "f3", "SO+(2,1)", 3, x3, (0, 2, 0), FieldElem(1), _closed_f3,
-            _polar_argument(x3.to_matrix().to_float(),
-                            J.apply(x3).to_matrix().to_float(), 2.0),
-            (-2.0, 2.0), (0.0, two_pi)),
+        SurfaceFamily("f2", "SO(3)", 3, x2, (2, 0, 0), FieldElem(1),
+                      _closed_f2, polar, (-2.0, 2.0), (0.0, two_pi)),
+        SurfaceFamily("f3", "SO+(2,1)", 3, x3, (0, 2, 0), FieldElem(1),
+                      _closed_f3, polar, (-2.0, 2.0), (0.0, two_pi)),
         # The f4 closed form's u-derivative at the origin is X/√3, not X:
-        # its u coordinate runs along X/√3 (same span, same surface), so the
-        # exponential argument must carry that scaling to match it pointwise.
+        # its u coordinate runs along X/√3 (same span, same surface).
         SurfaceFamily(
             "f4", "R2", 2, x4, (0, 2, 0), FieldElem(0), _closed_f4,
-            _linear_argument([[a / math.sqrt(3.0) for a in row]
-                              for row in x4.to_matrix().to_float()],
-                             J.apply(x4).to_matrix().to_float()),
-            (-2.0, 2.0), (-2.0, 2.0)),
+            lambda u, v: (u / math.sqrt(3.0), v), (-2.0, 2.0), (-2.0, 2.0)),
+        # X = e₃ and JX = e₄ are √2 times the matrix units E₁₃ and E₂₃
         SurfaceFamily(
             "f5", "R2-degenerate", 2, x5, (0, 0, 2), None, _closed_f5,
-            _linear_argument([[_INV_SQRT2 * a for a in row] for row in e[2]],
-                             [[_INV_SQRT2 * a for a in row] for row in e[3]]),
+            lambda u, v: (u / math.sqrt(2.0), v / math.sqrt(2.0)),
             (-3.0, 3.0), (-3.0, 3.0)),
     ]
     return {family.id: family for family in families}
@@ -237,19 +212,23 @@ class ExpCheckResult:
 
 def exp_check(fid: str, samples: int = 100, tol: float = 1e-8,
               seed: int = 0) -> ExpCheckResult:
-    """Compare expm of the family's Lie-algebra argument against the closed
-    form on seeded random (u, v), as matrices."""
+    """Compare expm(p·X + q·JX) against the closed form on seeded random
+    (u, v), as matrices, where (p, q) are the family's plane coordinates
+    of (u, v) and X, JX come from `generator`."""
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     fam = family(fid)
+    x, jx = (w.to_matrix().to_float() for w in generator(fid))
     rng = random.Random(seed)
     max_dev = 0.0
     for _ in range(samples):
         u = rng.uniform(*fam.u_range)
         v = rng.uniform(*fam.v_range)
-        achieved = expm(fam.exp_argument(u, v))
+        p, q = fam.plane_coords(u, v)
+        achieved = expm([[p * a + q * b for a, b in zip(ra, rb)]
+                         for ra, rb in zip(x, jx)])
         target = fam.closed_form(u, v)
         deviation = coset_deviation(achieved, target)
         # a NaN is kept, and fails `passed`; max() would drop it

@@ -501,3 +501,24 @@ def test_candidate_refuses_non_int_epsilon():
             CaseCandidate(case, epsilon=epsilon)
     with pytest.raises(ValueError, match="epsilon must be -1 or"):
         CaseCandidate(4, epsilon=True, a=ONE, b=ZERO)
+
+
+def test_candidate_coerces_exact_scalars():
+    b = FieldElem(Fraction(-3, 2))
+    reference = CaseCandidate(4, epsilon=-1, a=ONE, b=b)
+    for a, b in ((1, Fraction(-3, 2)), (Fraction(1), Fraction(-3, 2)),
+                 (ONE, Fraction(-3, 2))):
+        candidate = CaseCandidate(4, epsilon=-1, a=a, b=b)
+        assert candidate == reference
+        assert type(candidate.a) is FieldElem
+        assert type(candidate.b) is FieldElem
+        assert candidate.vector() == reference.vector()
+    assert CaseCandidate(4, epsilon=-1, a=1, b=0) \
+        == CaseCandidate(4, epsilon=-1, a=ONE, b=ZERO)
+    for a, b in ((1.0, ZERO), (ONE, 0.0), (ONE, True), (True, ZERO),
+                 ("1", ZERO)):
+        with pytest.raises(TypeError, match="must be a FieldElem"):
+            CaseCandidate(4, epsilon=1, a=a, b=b)
+    for a in (0, Fraction(0), ZERO, -1):
+        with pytest.raises(ValueError, match="requires a > 0"):
+            CaseCandidate(4, epsilon=1, a=a, b=0)

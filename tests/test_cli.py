@@ -1,6 +1,7 @@
 """The verification runner: suite composition, report formats, determinism,
 and process exit codes."""
 
+import dataclasses
 import errno
 import json
 import math
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from nksl3 import cli, exactfield, liealg, nkgeom
+from nksl3 import cli, exactfield, liealg, nkgeom, surfaces
 from nksl3.exactfield import ONE, FieldElem
 from nksl3.liealg import MVec
 from nksl3.classify import GridSpec
@@ -392,3 +393,20 @@ def test_jacobi_check_fails_on_a_broken_table(monkeypatch, pairs, witness):
     records = {r.name: r for r in cli.run(_spec("algebra")).checks}
     assert records["algebra.jacobi"].witness == witness
     assert not records["algebra.jacobi"].passed
+
+
+@pytest.mark.parametrize("change, witness", [
+    ({}, "plane curvatures 4, 1, 1, 0; the null plane is refused"),
+    ({"f2": FieldElem(2)}, "f2 plane: sectional 1"),
+    ({"f4": None}, "degenerate plane was not refused"),
+], ids=["table", "wrong_constant", "nondegenerate_null"])
+def test_sectional_constants_read_the_family_table(monkeypatch, change,
+                                                   witness):
+    for fid, curvature in change.items():
+        monkeypatch.setitem(surfaces.FAMILIES, fid, dataclasses.replace(
+            surfaces.FAMILIES[fid], expected_curvature=curvature))
+    records = {r.name: r for r in cli.run(_spec("curvature")).checks}
+    assert records["curvature.sectional_constants"].witness == witness
+    assert records["curvature.sectional_constants"].passed == (not change)
+    assert records["curvature.einstein"].witness \
+        == "Ricci tensor equals 5 times the metric, exactly"

@@ -1,9 +1,10 @@
-"""Exact elimination: echelon form, rank, span membership, inversion,
-and metric signatures by congruence."""
+"""Exact linear algebra: echelon form, rank, span membership, inversion,
+and metric signatures from the characteristic polynomial."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nksl3 import linalg
@@ -133,3 +134,27 @@ def test_signature_rejects_asymmetric():
     gram = [[ZERO, ONE], [-ONE, ZERO]]
     with pytest.raises(ValueError):
         linalg.signature(gram)
+
+
+def test_signature_matches_numpy_eigenvalues():
+    # S·D·Sᵀ with zeros in D and S possibly singular: the inertia must
+    # match the signs of numpy's eigenvalues
+    rng = random.Random(RNG_SEED + 5)
+    for trial in range(300):
+        n = trial % 6 + 1
+        s = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        d = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)]
+        gram = [[sum(s[i][k] * d[k] * s[j][k] for k in range(n))
+                 for j in range(n)] for i in range(n)]
+        eigen = np.linalg.eigvalsh(np.array(gram, dtype=float))
+        tol = 1e-9 * max(1.0, float(np.abs(eigen).max()))
+        expected = (int((eigen > tol).sum()), int((eigen < -tol).sum()),
+                    int((abs(eigen) <= tol).sum()))
+        assert linalg.signature([[_f(x) for x in row] for row in gram]) \
+            == expected, gram
+
+
+def test_signature_of_empty_and_zero_matrices():
+    assert linalg.signature([]) == (0, 0, 0)
+    for n in range(1, 5):
+        assert linalg.signature([[ZERO] * n for _ in range(n)]) == (0, 0, n)

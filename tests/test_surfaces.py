@@ -413,3 +413,13 @@ def test_certificate_dict_schema():
     assert set(payload) == {"id", "totally_geodesic", "induced_signature",
                             "curvature", "orbit_algebra_dim", "exp_check"}
     assert set(payload["exp_check"]) == {"samples", "tol", "max_dev"}
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_exp_check_reads_the_generator(monkeypatch, fid):
+    # the exponential argument is p·X + q·JX, so a negated X must fail
+    fam = FAMILIES[fid]
+    monkeypatch.setitem(FAMILIES, fid, dataclasses.replace(fam, x=-fam.x))
+    result = exp_check(fid, samples=20)
+    assert not result.passed
+    assert result.max_dev > 1.0
