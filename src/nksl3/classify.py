@@ -146,8 +146,9 @@ def _tangency(x: MVec) -> tuple[MVec, SpanDecision]:
 
 
 def tangency_test(candidate: CaseCandidate) -> TangencyResult:
-    """Whether R(X, JX)JX stays inside span{X, JX}; a totally geodesic
-    surface's tangent plane must be preserved by the ambient curvature."""
+    """Whether R(X, JX)JX stays inside span{X, JX}, as a totally geodesic
+    surface's tangent plane must.  R(X, JX) commutes with J, so then
+    R(X, JX)X = −J·R(X, JX)JX lies in that J-stable span too."""
     value, decision = _tangency(candidate.vector())
     return TangencyResult(value, decision.contained, decision)
 
@@ -194,7 +195,8 @@ def _in_plane(x) -> bool:
     any commutative ring (int, FieldElem): JX is the signed permutation
     `J.rows` of X, V is `tangency_form` at X, and as J² = −Id keeps X and JX
     independent, V is in their span iff all twenty 3×3 minors of
-    [X | JX | V] vanish.  Only +, − and ×; no type checks, no scaling."""
+    [X | JX | V] vanish (and then so is R(X, JX)X = −J·R(X, JX)JX, as R(X, JX)
+    commutes with J).  Only +, − and ×; no type checks, no scaling."""
     jx = [sign * x[source] for source, sign in J.rows]
     v = [0] * 6
     for l, p, q, r, c in tangency_form():

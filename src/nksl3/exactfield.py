@@ -339,10 +339,20 @@ SQRT6 = FieldElem(0, 0, 0, 1)
 
 def random_element(rng, max_numerator: int = 9, max_denominator: int = 9,
                    nonzero: bool = False) -> FieldElem:
-    """Draw a small random element; used by the randomized identity sweeps."""
+    """Draw a small random element for the randomized identity sweeps; each
+    int is drawn as CPython's `randint` draws it, by getrandbits and rejection."""
+    if max_numerator < (1 if nonzero else 0) or max_denominator < 1:
+        raise ValueError(f"empty range: {max_numerator=}, {max_denominator=}, {nonzero=}")
+    width, getrandbits = 2 * max_numerator + 1, rng.getrandbits
+    nbits, dbits = width.bit_length(), max_denominator.bit_length()
     while True:
-        pairs = [(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator))
-                 for _ in range(4)]
+        pairs = []
+        for _ in range(4):
+            while (n := getrandbits(nbits)) >= width:
+                pass
+            while (d := getrandbits(dbits)) >= max_denominator:
+                pass
+            pairs.append((n - max_numerator, d + 1))
         q = math.lcm(*(d for _, d in pairs))
         elem = _reduced(*(n * (q // d) for n, d in pairs), q)
         if elem or not nonzero:

@@ -154,27 +154,21 @@ def _oracle_raw(x: MVec, y: MVec, z: MVec) -> MVec:
 
 @cache
 def oracle_sign() -> int:
-    """Resolve the curvature sign convention against the bracket-only route.
-
-    Exactly one global sign must reconcile the invariant expression with
-    the naturally reductive curvature on every basis triple; anything else
-    is a hard failure.  Both signs fit only when every value is zero, so a
-    nonzero oracle value is required.
-    """
+    """Check the convention R(X, Y) = ∇_X∇_Y − ∇_Y∇_X − ∇_{[X,Y]}: the five-term
+    formula equals the bracket-only route on every basis triple, some value
+    nonzero (zero fits either sign).  The sign is +1; else a hard failure."""
     basis = [MVec.basis(i) for i in range(1, 7)]
     pairs = [(curvature(x, y, z), _oracle_raw(x, y, z))
              for x in basis for y in basis for z in basis]
-    if any(raw for _, raw in pairs):
-        for sign in (1, -1):
-            if all(raw * sign == expected for expected, raw in pairs):
-                return sign
-    raise RuntimeError("no single sign convention reconciles the curvature routes")
+    if not any(raw for _, raw in pairs) or any(raw != expected for expected, raw in pairs):
+        raise RuntimeError("no single sign convention reconciles the curvature routes")
+    return 1
 
 
 def curvature_oracle(x: MVec, y: MVec, z: MVec) -> MVec:
     """R(X, Y)Z computed from brackets alone:
-    ∇_X∇_Y Z − ∇_Y∇_X Z − ∇_{[X,Y]_m} Z − [[X, Y]_h, Z], up to the one
-    resolved sign."""
+    ∇_X∇_Y Z − ∇_Y∇_X Z − ∇_{[X,Y]_m} Z − [[X, Y]_h, Z], in the convention
+    that `oracle_sign` checks."""
     return _oracle_raw(x, y, z) * oracle_sign()
 
 

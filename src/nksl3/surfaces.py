@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .exactfield import SQRT2, SQRT3, FieldElem
-from .liealg import FloatMat, FullVec, MVec, coeff_bracket, matmul, metric
+from .liealg import FloatMat, FullVec, MVec, coeff_bracket, metric
 from .nkgeom import J, sectional
 
 _HALF = Fraction(1, 2)
@@ -163,26 +163,38 @@ def closed_form(fid: str, u: float, v: float) -> FloatMat:
     return family(fid).closed_form(u, v)
 
 
-def _inf_norm(a: FloatMat) -> float:
-    return max(abs(r0) + abs(r1) + abs(r2) for r0, r1, r2 in a)
-
-
 def expm(a: FloatMat) -> FloatMat:
-    """Exponential of a 3×3 float matrix by scaling and squaring its power series."""
-    norm = _inf_norm(a)
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0)
-    scaled = [[entry / 2.0 ** squarings for entry in row] for row in a]
-    term = result = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    columns = tuple(zip(*scaled))
+    """Exponential of a 3×3 float matrix by s squarings of its power series
+    at A/2ˢ, on nine local floats: term k is term k − 1 times A/2ˢ over k,
+    each entry's products summed left to right as `liealg.matmul` sums them."""
+    norm = max(abs(r0) + abs(r1) + abs(r2) for r0, r1, r2 in a)
+    squarings = math.ceil(math.log2(norm / 0.25)) if norm > 0.25 else 0
+    scale = 2.0 ** squarings
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (
+        (r0 / scale, r1 / scale, r2 / scale) for r0, r1, r2 in a)
+    t00, t01, t02, t10, t11, t12, t20, t21, t22 = r00, r01, r02, r10, r11, r12, r20, r21, r22 = (
+        1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     for k in range(1, 30):
-        term = [[(r0 * c0 + r1 * c1 + r2 * c2) / k for c0, c1, c2 in columns]
-                for r0, r1, r2 in term]
-        result = [[r + t for r, t in zip(rr, tr)] for rr, tr in zip(result, term)]
-        if _inf_norm(term) < 1e-18:
+        t00, t01, t02, t10, t11, t12, t20, t21, t22 = (
+            (t00 * a00 + t01 * a10 + t02 * a20) / k, (t00 * a01 + t01 * a11 + t02 * a21) / k,
+            (t00 * a02 + t01 * a12 + t02 * a22) / k, (t10 * a00 + t11 * a10 + t12 * a20) / k,
+            (t10 * a01 + t11 * a11 + t12 * a21) / k, (t10 * a02 + t11 * a12 + t12 * a22) / k,
+            (t20 * a00 + t21 * a10 + t22 * a20) / k, (t20 * a01 + t21 * a11 + t22 * a21) / k,
+            (t20 * a02 + t21 * a12 + t22 * a22) / k)
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = (
+            r00 + t00, r01 + t01, r02 + t02, r10 + t10, r11 + t11, r12 + t12,
+            r20 + t20, r21 + t21, r22 + t22)
+        if max(abs(t00) + abs(t01) + abs(t02), abs(t10) + abs(t11) + abs(t12),
+               abs(t20) + abs(t21) + abs(t22)) < 1e-18:
             break
     for _ in range(squarings):
-        result = matmul(result, result)
-    return result
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = (
+            r00 * r00 + r01 * r10 + r02 * r20, r00 * r01 + r01 * r11 + r02 * r21,
+            r00 * r02 + r01 * r12 + r02 * r22, r10 * r00 + r11 * r10 + r12 * r20,
+            r10 * r01 + r11 * r11 + r12 * r21, r10 * r02 + r11 * r12 + r12 * r22,
+            r20 * r00 + r21 * r10 + r22 * r20, r20 * r01 + r21 * r11 + r22 * r21,
+            r20 * r02 + r21 * r12 + r22 * r22)
+    return [[r00, r01, r02], [r10, r11, r12], [r20, r21, r22]]
 
 
 def coset_deviation(achieved: FloatMat, target: FloatMat) -> float:

@@ -101,6 +101,20 @@ def test_tangency_verdicts():
     assert not tangency_test(CaseCandidate(2, epsilon=-1)).in_span
 
 
+def test_polarized_tangency_operator_commutes_with_j():
+    # R(a, Jb) + R(b, Ja) is the polarization of X ↦ R(X, JX); it commutes
+    # with J, so R(X, JX)X = −J·R(X, JX)JX and `tangency_test` needs no
+    # second condition
+    basis = [_e(i) for i in range(1, 7)]
+    for a, b, c in itertools.product(basis, repeat=3):
+        ja, jb = J.apply(a), J.apply(b)
+
+        def operator(z):
+            return curvature(a, jb, z) + curvature(b, ja, z)
+
+        assert operator(J.apply(c)) == J.apply(operator(c)), (a, b, c)
+
+
 def test_case1_value():
     result = tangency_test(CaseCandidate(1))
     assert result.value == _e(1) * (-4)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from nksl3 import cli, exactfield, liealg, nkgeom, surfaces
+from nksl3 import classify, cli, exactfield, liealg, nkgeom, surfaces
 from nksl3.exactfield import ONE, FieldElem
 from nksl3.liealg import MVec
 from nksl3.classify import GridSpec
@@ -337,6 +337,22 @@ def test_oracle_agreement_fails_when_routes_disagree(monkeypatch):
     agreement = records["curvature.oracle_agreement"]
     assert not agreement.passed
     assert "no single sign convention" in agreement.witness
+
+
+def test_oracle_agreement_fails_on_a_negated_five_term(monkeypatch):
+    original = nkgeom._five_term
+    derived = (nkgeom.curvature_components, nkgeom.oracle_sign, nkgeom.ricci,
+               classify.curvature_table, classify.tangency_form)
+    for cached in derived:
+        cached.cache_clear()
+    monkeypatch.setattr(nkgeom, "_five_term", lambda x, y, z: -original(x, y, z))
+    try:
+        records = {r.name: r for r in cli.run(_spec("curvature")).checks}
+    finally:
+        monkeypatch.undo()
+        for cached in derived:
+            cached.cache_clear()
+    assert not records["curvature.oracle_agreement"].passed
 
 
 def test_stabilizer_rotation_fails_on_a_nan_deviation(monkeypatch):

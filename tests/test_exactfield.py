@@ -314,6 +314,36 @@ def test_random_element_draws_match_fraction_reference(bound, nonzero):
     assert rng.getstate() == twin.getstate()
 
 
+class _DrawBudget(random.Random):
+    """A Random that refuses to draw past a fixed budget, so a sampler
+    that would never return fails instead of hanging the suite."""
+
+    def __init__(self, seed, budget):
+        super().__init__(seed)
+        self.left = budget
+
+    def getrandbits(self, k):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("draw budget exhausted")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("max_numerator, max_denominator, nonzero",
+                         [(0, 9, True), (-1, 9, False), (9, 0, False)])
+def test_random_element_refuses_an_empty_range(max_numerator, max_denominator, nonzero):
+    # (0, 9, True) has no nonzero element to draw, and getrandbits(0) of a
+    # zero denominator bound would never fall below it: both used to spin
+    with pytest.raises(ValueError, match="empty range"):
+        random_element(_DrawBudget(0, 1000), max_numerator, max_denominator, nonzero)
+
+
+def test_random_element_draws_from_the_smallest_ranges():
+    rng = _DrawBudget(0, 1000)
+    assert random_element(rng, 0, 1) == ZERO
+    assert all(random_element(rng, 1, 1, nonzero=True) for _ in range(20))
+
+
 def test_equal_denominator_sums_are_reduced():
     half = FieldElem(Fraction(1, 2), Fraction(1, 2), 0, Fraction(-1, 2))
     total = half + half

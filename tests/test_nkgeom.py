@@ -185,12 +185,12 @@ def fresh_oracle_sign():
     nkgeom.oracle_sign.cache_clear()
 
 
-def test_oracle_sign_follows_a_negated_oracle(monkeypatch, fresh_oracle_sign):
+def test_oracle_sign_refuses_a_negated_oracle(monkeypatch, fresh_oracle_sign):
+    # only R(X, Y) = ∇_X∇_Y − ∇_Y∇_X − ∇_{[X,Y]} is accepted, not its negative
     original = nkgeom._oracle_raw
     monkeypatch.setattr(nkgeom, "_oracle_raw", lambda x, y, z: -original(x, y, z))
-    assert oracle_sign() == -1
-    for x, y, z in itertools.product(_basis(), repeat=3):
-        assert curvature_oracle(x, y, z) == curvature(x, y, z)
+    with pytest.raises(RuntimeError, match="no single sign convention"):
+        oracle_sign()
 
 
 @pytest.mark.parametrize("zero_curvature", [False, True])

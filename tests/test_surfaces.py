@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from nksl3.exactfield import SQRT2, SQRT3, ZERO, FieldElem
-from nksl3 import cli, linalg
+from nksl3 import cli, liealg, linalg, surfaces
 from nksl3.liealg import (MVec, bracket, coeff_bracket, metric,
                           stabilizer_element)
 from nksl3.nkgeom import J
@@ -150,6 +150,56 @@ def test_expm_one_parameter_group():
         left = np.array(expm((s + t) * a))
         right = np.array(expm(s * a)) @ np.array(expm(t * a))
         assert np.max(np.abs(left - right)) < 1e-12
+
+
+def _reference_expm(a):
+    """The list-based scaling-and-squaring series that `expm` unrolls: each
+    term is a list product, and each step reads the norm from the lists."""
+    def inf_norm(m):
+        return max(abs(r0) + abs(r1) + abs(r2) for r0, r1, r2 in m)
+
+    norm = inf_norm(a)
+    squarings = max(0, int(math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0)
+    scaled = [[entry / 2.0 ** squarings for entry in row] for row in a]
+    term = result = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    columns = tuple(zip(*scaled))
+    for k in range(1, 30):
+        term = [[(r0 * c0 + r1 * c1 + r2 * c2) / k for c0, c1, c2 in columns]
+                for r0, r1, r2 in term]
+        result = [[r + t for r, t in zip(rr, tr)] for rr, tr in zip(result, term)]
+        if inf_norm(term) < 1e-18:
+            break
+    for _ in range(squarings):
+        result = liealg.matmul(result, result)
+    return result
+
+
+def _bits(m):
+    return [[float(entry).hex() for entry in row] for row in m]
+
+
+def test_expm_is_bitwise_the_reference_series(monkeypatch):
+    # every float operation runs in the reference's order, so the results
+    # agree to the bit (hex also tells −0.0 from 0.0), not to a tolerance
+    arguments = []
+
+    def recorded(a):
+        arguments.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(surfaces, "expm", recorded)
+    for fid in ALL_IDS:
+        exp_check(fid, samples=500, seed=7)
+    assert len(arguments) == 2500
+    rng = random.Random(RNG_SEED + 9)
+    arguments += [[[rng.uniform(-8.0, 8.0) for _ in range(3)] for _ in range(3)]
+                  for _ in range(500)]
+    arguments += [[[0.0] * 3 for _ in range(3)],
+                  [[0.0, 0.0, 2.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]],
+                  [[0.125, -0.0625, 0.0625], [0.0, 0.25, 0.0], [-0.25, 0.0, 0.0]]]
+    assert max(abs(r0) + abs(r1) + abs(r2) for r0, r1, r2 in arguments[-1]) == 0.25
+    for a in arguments:
+        assert _bits(expm(a)) == _bits(_reference_expm(a)), a
 
 
 def test_coset_deviation_compares_matrices():
