@@ -146,9 +146,8 @@ def _tangency(x: MVec) -> tuple[MVec, SpanDecision]:
 
 
 def tangency_test(candidate: CaseCandidate) -> TangencyResult:
-    """Whether R(X, JX)JX stays inside span{X, JX}, as a totally geodesic
-    surface's tangent plane must.  R(X, JX) commutes with J, so then
-    R(X, JX)X = −J·R(X, JX)JX lies in that J-stable span too."""
+    """Whether R(X, JX)JX stays in span{X, JX}, as on a totally geodesic surface;
+    then so does R(X, JX)X = −J·R(X, JX)JX, since R(X, JX) commutes with J."""
     value, decision = _tangency(candidate.vector())
     return TangencyResult(value, decision.contained, decision)
 

@@ -339,8 +339,7 @@ SQRT6 = FieldElem(0, 0, 0, 1)
 
 def random_element(rng, max_numerator: int = 9, max_denominator: int = 9,
                    nonzero: bool = False) -> FieldElem:
-    """Draw a small random element for the randomized identity sweeps; each
-    int is drawn as CPython's `randint` draws it, by getrandbits and rejection."""
+    """Draw a small random element, each int as CPython's `randint` draws it."""
     if max_numerator < (1 if nonzero else 0) or max_denominator < 1:
         raise ValueError(f"empty range: {max_numerator=}, {max_denominator=}, {nonzero=}")
     width, getrandbits = 2 * max_numerator + 1, rng.getrandbits

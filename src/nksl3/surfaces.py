@@ -164,9 +164,8 @@ def closed_form(fid: str, u: float, v: float) -> FloatMat:
 
 
 def expm(a: FloatMat) -> FloatMat:
-    """Exponential of a 3×3 float matrix by s squarings of its power series
-    at A/2ˢ, on nine local floats: term k is term k − 1 times A/2ˢ over k,
-    each entry's products summed left to right as `liealg.matmul` sums them."""
+    """exp(A) for a 3×3 float matrix: s squarings of the power series at A/2ˢ, on nine
+    local floats, each entry's products summed left to right as `liealg.matmul` does."""
     norm = max(abs(r0) + abs(r1) + abs(r2) for r0, r1, r2 in a)
     squarings = math.ceil(math.log2(norm / 0.25)) if norm > 0.25 else 0
     scale = 2.0 ** squarings

@@ -107,12 +107,9 @@ def test_polarized_tangency_operator_commutes_with_j():
     # second condition
     basis = [_e(i) for i in range(1, 7)]
     for a, b, c in itertools.product(basis, repeat=3):
-        ja, jb = J.apply(a), J.apply(b)
-
-        def operator(z):
-            return curvature(a, jb, z) + curvature(b, ja, z)
-
-        assert operator(J.apply(c)) == J.apply(operator(c)), (a, b, c)
+        ja, jb, jc = J.apply(a), J.apply(b), J.apply(c)
+        assert (curvature(a, jb, jc) + curvature(b, ja, jc)
+                == J.apply(curvature(a, jb, c) + curvature(b, ja, c))), (a, b, c)
 
 
 def test_case1_value():
