@@ -338,10 +338,9 @@ def test_random_element_refuses_an_empty_range(max_numerator, max_denominator, n
         random_element(_DrawBudget(0, 1000), max_numerator, max_denominator, nonzero)
 
 
-def test_random_element_draws_from_the_smallest_ranges():
-    rng = _DrawBudget(0, 1000)
-    assert random_element(rng, 0, 1) == ZERO
-    assert all(random_element(rng, 1, 1, nonzero=True) for _ in range(20))
+def test_random_element_draws_zero_from_the_smallest_range():
+    # the smallest nonzero range, (1, 1, nonzero), is in the reference test
+    assert random_element(_DrawBudget(0, 1000), 0, 1) == ZERO
 
 
 def test_equal_denominator_sums_are_reduced():
