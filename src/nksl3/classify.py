@@ -189,23 +189,44 @@ def tangency_form() -> tuple[tuple[int, int, int, int, int], ...]:
 _ROW_TRIPLES = tuple(itertools.combinations(range(6), 3))
 
 
-def _in_plane(x) -> bool:
-    """Whether V = D·R(X, JX)JX lies in span{X, JX}, for a nonzero X over
-    any commutative ring (int, FieldElem): JX is the signed permutation
-    `J.rows` of X, V is `tangency_form` at X, and as J² = −Id keeps X and JX
-    independent, V is in their span iff all twenty 3×3 minors of
-    [X | JX | V] vanish (and then so is R(X, JX)X = −J·R(X, JX)JX, as R(X, JX)
-    commutes with J).  Only +, − and ×; no type checks, no scaling."""
+def _minors(x) -> Iterator:
+    """The twenty 3×3 minors of [X | JX | V], lazily, rows e₁e₂e₃ first, for
+    a nonzero X over any commutative ring (int, FieldElem): JX is the signed
+    permutation `J.rows` of X and V = D·R(X, JX)JX is `tangency_form` at X.
+    Only +, − and ×; no type checks, no scaling."""
     jx = [sign * x[source] for source, sign in J.rows]
     v = [0] * 6
     for l, p, q, r, c in tangency_form():
         v[l] += c * x[p] * x[q] * x[r]
     for r, s, t in _ROW_TRIPLES:
-        if (x[r] * (jx[s] * v[t] - jx[t] * v[s])
-                - x[s] * (jx[r] * v[t] - jx[t] * v[r])
-                + x[t] * (jx[r] * v[s] - jx[s] * v[r])):
-            return False
-    return True
+        yield (x[r] * (jx[s] * v[t] - jx[t] * v[s])
+               - x[s] * (jx[r] * v[t] - jx[t] * v[r])
+               + x[t] * (jx[r] * v[s] - jx[s] * v[r]))
+
+
+def _in_plane(x) -> bool:
+    """Whether V = D·R(X, JX)JX lies in span{X, JX}: as J² = −Id keeps X and
+    JX independent, iff all `_minors` vanish (then so does R(X, JX)X =
+    −J·R(X, JX)JX, as R(X, JX) commutes with J)."""
+    return not any(_minors(x))
+
+
+def _row_minors(head, steps) -> Iterator:
+    """The first of `_minors` at X = (*head, B) for each B of the evenly
+    spaced `steps`: of degree ≤ 5 in B (see `pin_case4`), so its values at
+    the first six steps fix the rest, read off a Newton forward-difference
+    table by additions alone."""
+    d = [next(_minors((*head, b))) for b in steps[:6]]
+    for k in range(1, len(d)):
+        for i in range(len(d) - 1, k - 1, -1):
+            d[i] -= d[i - 1]
+    if not any(d[1:]):  # a constant, or no step at all: nothing to walk
+        yield from d[:1] * len(steps)
+        return
+    for _ in steps:
+        yield d[0]
+        for i in range(len(d) - 1):
+            d[i] += d[i + 1]
 
 
 def rational_tangency(coords: Sequence[Fraction | int]) -> bool:
@@ -321,9 +342,12 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     lcm of the denominators of a_min, a_step, b_min and b_step, so that
     λ·X = λ·(a, 0, 1, 0, ½(a²+ε), b) is integral in every cell.  Each minor
     of [X | JX | V] is homogeneous of degree 5 in X, so X ↦ λX multiplies
-    it by λ⁵ ≠ 0 and keeps the verdict; the cells go straight to the kernel
-    `_in_plane`, and a Fraction is built only to label a cell that passes.
-    Grid evidence, not a proof of uniqueness."""
+    it by λ⁵ ≠ 0 and keeps the verdict.  X is affine in b along a row of
+    fixed (ε, a), so there the first minor has degree ≤ 5 in λ·b and
+    `_row_minors` walks it: a nonzero value refutes its cell exactly, and
+    only a zero sends the cell on to `_in_plane`.  On case-4 rows that minor
+    is free of b, λ⁵·(−12a²(3a² + ε)).  A Fraction is built only to label a
+    cell that passes.  Grid evidence, not a proof of uniqueness."""
     grid = grid or GridSpec()
     claimed = tangency_test(claimed_case4_point()).in_span
     scale = 2 * math.lcm(grid.a_min.denominator, grid.a_step.denominator,
@@ -334,8 +358,8 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     for epsilon in (-1, 1):
         for a in a_values:
             head = [int(c * scale) for c in case4_coords(epsilon, a, 0)[:5]]
-            for b in b_scaled:
-                if _in_plane((*head, b)):
+            for b, minor in zip(b_scaled, _row_minors(head, b_scaled)):
+                if not minor and _in_plane((*head, b)):
                     unexpected.append(CaseCandidate(
                         4, epsilon=epsilon, a=FieldElem(a),
                         b=FieldElem(Fraction(b, scale))).label())

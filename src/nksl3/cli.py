@@ -143,8 +143,9 @@ def _field_checks(spec: SuiteSpec) -> list[Check]:
         for _ in range(spec.samples):
             x = exactfield.random_element(rng, nonzero=True)
             y = exactfield.random_element(rng, nonzero=True)
-            _require(x * x.inv() == ONE, "x*inv(x) != 1 at {}", x)
-            _require((x * y).inv() == x.inv() * y.inv(),
+            x_inv = x.inv()
+            _require(x * x_inv == ONE, "x*inv(x) != 1 at {}", x)
+            _require((x * y).inv() == x_inv * y.inv(),
                      "inverse not multiplicative at {}, {}", x, y)
         return f"{spec.samples} random nonzero pairs, seed {spec.seed}, all exact"
 

@@ -3,6 +3,7 @@ test, case eliminations, the exact parameter pin, and the survivor map."""
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -249,9 +250,10 @@ def _per_cell_labels(grid):
 
 
 def test_pin_case4_matches_the_per_cell_route():
-    # a shrunk dense-style grid with fractional offsets, a_min < 0, empty
+    # a shrunk dense-style grid with fractional offsets, a_min < 0, empty,
+    # rows with no b
     for spec in ("3/200:43/200:1/40,-2387/800:-1587/800:1/40",
-                 "-1:1:1/3,-1:1:1/2", "0:0:1,0:0:1"):
+                 "-1:1:1/3,-1:1:1/2", "0:0:1,0:0:1", "0:1:1/2,1:0:1"):
         grid = GridSpec.parse(spec)
         report = pin_case4(grid)
         assert (report.cells, report.unexpected_passes) \
@@ -261,32 +263,94 @@ def test_pin_case4_matches_the_per_cell_route():
 def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
     # no rational cell passes, so only the kernel's arguments show a wrong
     # scale.  Here m = 3, and at a = 2/3 the e5 coordinate m²·½(a²+ε) is
-    # not an integer: only λ = 2m² keeps every coordinate integral.  Cells
-    # with b = 1/3 are made to pass, so their labels are read back from
-    # the scaled coordinates.
-    grid = GridSpec.parse("0:2:1/3,-1:1:1/3")
+    # not an integer: only λ = 2m² keeps every coordinate integral.  The
+    # recorded minor has degree 5 in b and vanishes only at b = 2, past the
+    # sixth cell of each row, so those cells are made to pass through the
+    # row walk and their labels are read back from the scaled coordinates.
+    grid = GridSpec.parse("0:2:1/3,-3:3:1/3")
     calls = []
 
     def record(x):
         calls.append(x)
-        return 3 * x[5] == x[2]
+        yield (x[5] - 2 * x[2]) * (x[5] ** 2 + x[2] ** 2) ** 2
 
-    monkeypatch.setattr(classify, "_in_plane", record)
+    monkeypatch.setattr(classify, "_minors", record)
     monkeypatch.setattr(classify, "rational_tangency", None)
     report = pin_case4(grid)
     cells = [(epsilon, a, b) for epsilon in (-1, 1)
              for a in grid.a_values() for b in grid.b_values()]
-    assert len(calls) == len(cells) == report.cells
+    assert len(cells) == report.cells
     scale = calls[0][2]
     assert type(scale) is int and scale > 0
-    for x, (epsilon, a, b) in zip(calls, cells):
+    scaled = {tuple(scale * c for c in case4_coords(epsilon, a, b))
+              for epsilon, a, b in cells}
+    for x in calls:
         assert all(type(c) is int for c in x)
-        assert tuple(x) == tuple(scale * c
-                                 for c in case4_coords(epsilon, a, b))
+        assert tuple(x) in scaled
     assert report.unexpected_passes == tuple(
         CaseCandidate(4, epsilon=epsilon, a=FieldElem(a),
                       b=FieldElem(b)).label()
-        for epsilon, a, b in cells if b == Fraction(1, 3))
+        for epsilon, a, b in cells if b == 2)
+
+
+def test_row_walk_matches_the_first_minor(monkeypatch):
+    # the first minor is linear in B (x3, x4 != 0 here), so each row is
+    # also walked over a product of five linear forms in X, homogeneous of
+    # degree 5 like every minor and of full degree 5 in B; rows of 1 to 30
+    # cells, so short rows are covered too
+    rng = random.Random(RNG_SEED + 7)
+    minors = classify._minors
+
+    def quintic(x):
+        yield math.prod(sum(w * c for w, c in zip(form, x)) for form in forms)
+
+    for _ in range(200):
+        head = [rng.randint(-9, 9) for _ in range(5)]
+        head[2], head[3] = (rng.choice((-1, 1)) * rng.randint(1, 9)
+                            for _ in range(2))
+        start, step = rng.randint(-60, 60), rng.randint(1, 12)
+        steps = tuple(range(start, start + step * rng.randint(1, 30), step))
+        forms = [[rng.randint(-5, 5) for _ in range(5)] + [rng.randint(1, 5)]
+                 for _ in range(5)]
+        for kernel in (minors, quintic):
+            monkeypatch.setattr(classify, "_minors", kernel)
+            assert list(classify._row_minors(head, steps)) == [
+                next(kernel((*head, b))) for b in steps], (head, steps)
+
+
+def test_first_minor_on_case4_rows_is_free_of_b():
+    # −12a²(3a² + ε): for a > 0 it vanishes only at ε = −1, a = 1/√3
+    rng = random.Random(RNG_SEED + 8)
+    for _ in range(20):
+        epsilon = rng.choice((-1, 1))
+        a = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        b = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        assert next(classify._minors(case4_coords(epsilon, a, b))) \
+            == -12 * a * a * (3 * a * a + epsilon)
+
+
+def test_a_vanishing_first_minor_sends_every_cell_to_the_kernel(monkeypatch):
+    # a zero constant row is not refuted: every cell goes on to the full
+    # kernel, where only the b = 2 cells pass
+    grid = GridSpec.parse("0:2:1/3,-3:3:1/3")
+    kernel = []
+
+    def minors(x):
+        yield 0
+        kernel.append(tuple(x))
+        yield x[5] - 2 * x[2]
+
+    monkeypatch.setattr(classify, "_minors", minors)
+    report = pin_case4(grid)
+    cells = [(epsilon, a, b) for epsilon in (-1, 1)
+             for a in grid.a_values() for b in grid.b_values()]
+    scale = kernel[0][2]
+    assert kernel == [tuple(scale * c for c in case4_coords(epsilon, a, b))
+                      for epsilon, a, b in cells]
+    assert report.unexpected_passes == tuple(
+        CaseCandidate(4, epsilon=epsilon, a=FieldElem(a),
+                      b=FieldElem(b)).label()
+        for epsilon, a, b in cells if b == 2)
 
 
 def test_grid_cells_counts_the_sweep():
