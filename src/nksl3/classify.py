@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 from . import exactfield, linalg
 from .exactfield import ONE, SQRT3, ZERO, FieldElem
 from .liealg import MVec, dphi
-from .nkgeom import J, curvature, curvature_components
+from .nkgeom import J, curvature, curvature_table
 from .surfaces import generator
 
 _HALF = Fraction(1, 2)
@@ -150,26 +150,6 @@ def tangency_test(candidate: CaseCandidate) -> TangencyResult:
     then so does R(X, JX)X = −J·R(X, JX)JX, since R(X, JX) commutes with J."""
     value, decision = _tangency(candidate.vector())
     return TangencyResult(value, decision.contained, decision)
-
-
-@cache
-def curvature_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
-    """The curvature tensor in integers: (D, entries) where each entry
-    (i, j, k, l, t) says R(eᵢ₊₁, eⱼ₊₁)eₖ₊₁ has eₗ₊₁ coefficient t/D.
-
-    Read from `curvature_components` on the 216 basis triples, which by
-    trilinearity determine the whole tensor.
-    """
-    entries = []
-    for i, j, k in itertools.product(range(6), repeat=3):
-        for l, value in curvature_components(i, j, k):
-            if not value.is_rational:
-                raise RuntimeError(f"R(e{i + 1}, e{j + 1})e{k + 1} has the "
-                                   f"irrational e{l + 1} coefficient {value}")
-            entries.append((i, j, k, l, value.a))
-    denominator = math.lcm(*(q.denominator for *_, q in entries))
-    return denominator, tuple((i, j, k, l, int(q * denominator))
-                              for i, j, k, l, q in entries)
 
 
 @cache

@@ -1,11 +1,11 @@
 """The invariant almost complex structures, the canonical connection data
 and the curvature tensor of the naturally reductive metric.
 
-R(X, Y)Z is contracted from the basis components R(eᵢ, eⱼ)eₖ.  Each basis
-triple is computed once, on first use, by the five-term invariant formula;
-the bracket-only oracle computes its values without them.  The Ricci
-tensor is the trace of those components over the first slot, read off
-without the metric.
+R(X, Y)Z is contracted from one integer table of the basis components
+D·R(eᵢ, eⱼ)eₖ, built once, on first use, by the five-term invariant formula
+in plain ints; the bracket-only oracle computes its values without it.  The
+Ricci tensor is the trace of the table over the first slot, read off without
+the metric.
 
 J is the nearly Kähler almost complex structure, J₁ an auxiliary invariant
 complex structure on the same tangent space, and F the skew rotation that
@@ -18,11 +18,12 @@ J₁ and J, not written out.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cache
 
 from .exactfield import ZERO, FieldElem
-from .liealg import FullVec, MVec, coeff_bracket, metric
+from .liealg import FullVec, MVec, _gram, coeff_bracket, metric
 
 
 class DegeneratePlaneError(ValueError):
@@ -97,51 +98,69 @@ def nabla_tensor(tensor: InvariantTensor, x: MVec, y: MVec) -> MVec:
     return nabla(x, tensor.apply(y)) - tensor.apply(nabla(x, y))
 
 
-_C52 = Fraction(5, 2)
-_C34 = Fraction(3, 4)
-_C94 = Fraction(9, 4)
-
-
-def _five_term(x: MVec, y: MVec, z: MVec) -> MVec:
-    """R(X, Y)Z from the five-term invariant expression built out of the
-    metric, J, the product involution J₁J and F."""
-    g = metric
-    jx, jy, jz = J.apply(x), J.apply(y), J.apply(z)
-    px, py, pz = P.apply(x), P.apply(y), P.apply(z)
-    fx, fy, fz = F.apply(x), F.apply(y), F.apply(z)
-    t1 = (x * g(y, z) - y * g(x, z)) * _C52
-    t2 = (jx * g(jy, z) - jy * g(jx, z) + jz * (g(x, jy) * 2)) * _C34
-    t3 = (px * g(y, pz) - py * g(x, pz)) * _C94
-    t4 = (x * g(py, z) - y * g(px, z) + px * g(y, z) - py * g(x, z)) * _C34
-    t5 = (fx * g(y, fz) - fy * g(x, fz)) * 3
-    return t1 - t2 + t3 + t4 - t5
+# The five coefficients of `_five_term` over D = 4: 5/2, 3/4, 9/4, 3/4 and 3.
+_D, _COEFFICIENTS = 4, (10, 3, 9, 3, 12)
 
 
 @cache
-def curvature_components(i: int, j: int, k: int) -> tuple[tuple[int, FieldElem], ...]:
-    """The nonzero coefficients ((l, c), ...) of R(eᵢ₊₁, eⱼ₊₁)eₖ₊₁ = Σ c·eₗ₊₁,
-    each basis triple evaluated once by the five-term formula, on first use."""
-    value = _five_term(MVec.basis(i + 1), MVec.basis(j + 1), MVec.basis(k + 1))
-    return tuple((l, c) for l, c in enumerate(value.coeffs) if c)
+def _metric_rows() -> tuple[tuple[int, int], ...]:
+    """The Gram of m, read once from `liealg._gram(6)`, as a signed
+    permutation: row i is (j, s), s = ⟨eᵢ₊₁, eⱼ₊₁⟩ = ±1 its one nonzero entry."""
+    return tuple(next((j, int(entry.a)) for j, entry in enumerate(row) if entry)
+                 for row in _gram(6))
+
+
+def _act(tensor: InvariantTensor, v) -> list:
+    return [sign * v[source] for source, sign in tensor.rows]
+
+
+def _five_term(x, y, z) -> tuple:
+    """D·R(X, Y)Z by the five-term invariant formula in the metric, J, the
+    product involution J₁J and F, all acting as signed permutations, for
+    6-sequences over any commutative ring (int, FieldElem): only +, − and ×."""
+    rows = _metric_rows()
+
+    def g(u, v):
+        return sum([sign * a * v[j] for a, (j, sign) in zip(u, rows)])
+
+    jx, jy, jz = _act(J, x), _act(J, y), _act(J, z)
+    px, py, pz = _act(P, x), _act(P, y), _act(P, z)
+    fx, fy, fz = _act(F, x), _act(F, y), _act(F, z)
+    c1, c2, c3, c4, c5 = _COEFFICIENTS
+    terms = (
+        (c1, ((g(y, z), x), (-g(x, z), y))),
+        (-c2, ((g(jy, z), jx), (-g(jx, z), jy), (2 * g(x, jy), jz))),
+        (c3, ((g(y, pz), px), (-g(x, pz), py))),
+        (c4, ((g(py, z), x), (-g(px, z), y), (g(y, z), px), (-g(x, z), py))),
+        (-c5, ((g(y, fz), fx), (-g(x, fz), fy))),
+    )
+    scaled = [(c * s, v) for c, term in terms for s, v in term if s]
+    return tuple(sum([s * v[l] for s, v in scaled]) for l in range(6))
+
+
+@cache
+def curvature_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+    """The curvature tensor in integers, built once, on first use: (D, entries),
+    each entry (i, j, k, l, t) saying R(eᵢ₊₁, eⱼ₊₁)eₖ₊₁ has eₗ₊₁ coefficient
+    t/D.  `_five_term` on the 216 integer basis triples, which by
+    trilinearity determine the whole tensor."""
+    units = [tuple(int(m == n) for m in range(6)) for n in range(6)]
+    return _D, tuple((i, j, k, l, t)
+                     for i, j, k in itertools.product(range(6), repeat=3)
+                     for l, t in enumerate(_five_term(units[i], units[j], units[k]))
+                     if t)
 
 
 def curvature(x: MVec, y: MVec, z: MVec) -> MVec:
-    """R(X, Y)Z, contracted from the basis components of the tensor over
-    the supports of X, Y and Z."""
-    xs = [(i, c) for i, c in enumerate(x.coeffs) if c]
-    ys = [(j, c) for j, c in enumerate(y.coeffs) if c]
-    zs = [(k, c) for k, c in enumerate(z.coeffs) if c]
+    """R(X, Y)Z, contracted from `curvature_table` over the supports of X, Y, Z."""
+    denominator, entries = curvature_table()
+    xc, yc, zc = x.coeffs, y.coeffs, z.coeffs
+    xs, ys, zs = [bool(c) for c in xc], [bool(c) for c in yc], [bool(c) for c in zc]
     acc = [ZERO] * 6
-    for i, xi in xs:
-        for j, yj in ys:
-            xy = xi * yj
-            for k, zk in zs:
-                terms = curvature_components(i, j, k)
-                if terms:
-                    product = xy * zk
-                    for l, c in terms:
-                        acc[l] = acc[l] + c * product
-    return MVec._raw(tuple(acc))
+    for i, j, k, l, t in entries:
+        if xs[i] and ys[j] and zs[k]:
+            acc[l] = acc[l] + xc[i] * yc[j] * zc[k] * t
+    return MVec._raw(tuple(c * Fraction(1, denominator) for c in acc))
 
 
 def _oracle_raw(x: MVec, y: MVec, z: MVec) -> MVec:
@@ -182,12 +201,13 @@ def sectional(x: MVec, y: MVec) -> FieldElem:
 
 @cache
 def ricci() -> tuple[tuple[FieldElem, ...], ...]:
-    """Ric(Y, Z) as the trace of X ↦ R(X, Y)Z: entry (y, z) sums the eᵢ
-    coefficient of R(eᵢ, e_y)e_z over the tangent basis."""
-    return tuple(tuple(sum((c for i in range(6)
-                            for l, c in curvature_components(i, y, z) if l == i), ZERO)
-                       for z in range(6))
-                 for y in range(6))
+    """Ric(Y, Z) as the trace of X ↦ R(X, Y)Z: entry (y, z) sums the
+    `curvature_table` entries (i, y, z, i, t), the eᵢ coefficients of R(eᵢ, e_y)e_z."""
+    denominator, entries = curvature_table()
+    traces = [[0] * 6 for _ in range(6)]
+    for i, j, k, l, t in entries:
+        traces[j][k] += t if l == i else 0
+    return tuple(tuple(FieldElem(Fraction(t, denominator)) for t in row) for row in traces)
 
 
 def einstein_constant() -> FieldElem:

@@ -339,20 +339,42 @@ def test_oracle_agreement_fails_when_routes_disagree(monkeypatch):
     assert "no single sign convention" in agreement.witness
 
 
-def test_oracle_agreement_fails_on_a_negated_five_term(monkeypatch):
-    original = nkgeom._five_term
-    derived = (nkgeom.curvature_components, nkgeom.oracle_sign, nkgeom.ricci,
-               classify.curvature_table, classify.tangency_form)
-    for cached in derived:
+_TABLE_CACHES = (nkgeom.curvature_table, nkgeom.oracle_sign, nkgeom.ricci,
+                 classify.tangency_form)
+
+
+def _curvature_records_with(monkeypatch, name, value):
+    """The curvature suite's records with `nkgeom.<name>` patched to
+    `value`, every cache of the table cleared before and after."""
+    for cached in _TABLE_CACHES:
         cached.cache_clear()
-    monkeypatch.setattr(nkgeom, "_five_term", lambda x, y, z: -original(x, y, z))
+    monkeypatch.setattr(nkgeom, name, value)
     try:
-        records = {r.name: r for r in cli.run(_spec("curvature")).checks}
+        return {r.name: r for r in cli.run(_spec("curvature")).checks}
     finally:
         monkeypatch.undo()
-        for cached in derived:
+        for cached in _TABLE_CACHES:
             cached.cache_clear()
+
+
+def test_oracle_agreement_fails_on_a_negated_five_term(monkeypatch):
+    original = nkgeom._five_term
+    records = _curvature_records_with(
+        monkeypatch, "_five_term",
+        lambda x, y, z: tuple(-c for c in original(x, y, z)))
     assert not records["curvature.oracle_agreement"].passed
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_oracle_agreement_fails_on_one_changed_coefficient(monkeypatch, index):
+    # each of the five terms is needed: one integer coefficient over D
+    # lowered by one leaves a tensor the bracket route refutes
+    mutant = list(nkgeom._COEFFICIENTS)
+    mutant[index] -= 1
+    records = _curvature_records_with(monkeypatch, "_COEFFICIENTS", tuple(mutant))
+    agreement = records["curvature.oracle_agreement"]
+    assert not agreement.passed
+    assert "no single sign convention" in agreement.witness
 
 
 def test_stabilizer_rotation_fails_on_a_nan_deviation(monkeypatch):

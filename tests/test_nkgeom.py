@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nksl3 import classify, cli, nkgeom
+from nksl3 import cli, nkgeom
 from nksl3.exactfield import ONE, ZERO, FieldElem, random_element
 from nksl3.liealg import (MVec, bracket, m_component, metric,
                           rotation_action_matrix)
@@ -293,13 +293,19 @@ def test_ricci_is_proportional_to_metric():
         assert ric[i - 1][j - 1] == expected
 
 
-# ------------------------------------------ memoized basis components
+# ------------------------------------------------ the integer table
+
+def _scaled(value):
+    # D·R as a tuple of field elements, to compare with `_five_term`
+    return (value * nkgeom.curvature_table()[0]).coeffs
+
 
 def test_contraction_matches_five_term_exhaustive():
     basis = _basis()
     for i, j, k in itertools.product(range(6), repeat=3):
         x, y, z = basis[i], basis[j], basis[k]
-        assert curvature(x, y, z) == _five_term(x, y, z), (i + 1, j + 1, k + 1)
+        assert _five_term(x.coeffs, y.coeffs, z.coeffs) == _scaled(curvature(x, y, z)), \
+            (i + 1, j + 1, k + 1)
 
 
 def test_contraction_matches_five_term_random_dense():
@@ -308,7 +314,7 @@ def test_contraction_matches_five_term_random_dense():
     rng = random.Random(RNG_SEED + 7)
     for _ in range(20):
         x, y, z = _random_mvec(rng), _random_mvec(rng), _random_mvec(rng)
-        assert curvature(x, y, z) == _five_term(x, y, z)
+        assert _five_term(x.coeffs, y.coeffs, z.coeffs) == _scaled(curvature(x, y, z))
 
 
 def test_five_term_runs_once_per_basis_triple(tmp_path, monkeypatch):
@@ -319,10 +325,8 @@ def test_five_term_runs_once_per_basis_triple(tmp_path, monkeypatch):
         return _five_term(x, y, z)
 
     monkeypatch.setattr(nkgeom, "_five_term", counted)
-    for cached in (nkgeom.curvature_components, nkgeom.oracle_sign,
-                   nkgeom.ricci, classify.curvature_table):
-        cached.cache_clear()
+    nkgeom.curvature_table.cache_clear()
     code = cli.main(["all", "--format", "json",
                      "--out", str(tmp_path / "all.json")])
     assert code == 0
-    assert len(calls) == len(set(calls)) <= 216
+    assert len(calls) == len(set(calls)) == 216
