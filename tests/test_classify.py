@@ -265,8 +265,9 @@ def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
     # scale.  Here m = 3, and at a = 2/3 the e5 coordinate m²·½(a²+ε) is
     # not an integer: only λ = 2m² keeps every coordinate integral.  The
     # recorded minor has degree 5 in b and vanishes only at b = 2, past the
-    # sixth cell of each row, so those cells are made to pass through the
-    # row walk and their labels are read back from the scaled coordinates.
+    # sixth cell of each row, so those rows are not refuted by their six
+    # probes: every cell goes to the kernel, and the labels of the passing
+    # cells are read back from the scaled coordinates.
     grid = GridSpec.parse("0:2:1/3,-3:3:1/3")
     calls = []
 
@@ -293,29 +294,36 @@ def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
         for epsilon, a, b in cells if b == 2)
 
 
-def test_row_walk_matches_the_first_minor(monkeypatch):
-    # the first minor is linear in B (x3, x4 != 0 here), so each row is
-    # also walked over a product of five linear forms in X, homogeneous of
-    # degree 5 like every minor and of full degree 5 in B; rows of 1 to 30
-    # cells, so short rows are covered too
-    rng = random.Random(RNG_SEED + 7)
-    minors = classify._minors
+def test_six_probes_decide_each_row(monkeypatch):
+    # a quintic in x6 that equals one nonzero constant at the first five b
+    # cells of every row (k = 0..4, where 3·b + 9 = k) and vanishes at
+    # b = 2 (k = 15): five equal probes would refute the row, the sixth
+    # (k = 5) sends it to the per-cell route, which reports the b = 2 cells
+    grid = GridSpec.parse("0:2:1/3,-3:3:1/3")
 
     def quintic(x):
-        yield math.prod(sum(w * c for w, c in zip(form, x)) for form in forms)
+        k = 3 * x[5] + 9 * x[2]
+        yield (math.prod(k - i * x[2] for i in range(5))
+               - math.prod(range(11, 16)) * x[2] ** 5)
 
-    for _ in range(200):
-        head = [rng.randint(-9, 9) for _ in range(5)]
-        head[2], head[3] = (rng.choice((-1, 1)) * rng.randint(1, 9)
-                            for _ in range(2))
-        start, step = rng.randint(-60, 60), rng.randint(1, 12)
-        steps = tuple(range(start, start + step * rng.randint(1, 30), step))
-        forms = [[rng.randint(-5, 5) for _ in range(5)] + [rng.randint(1, 5)]
-                 for _ in range(5)]
-        for kernel in (minors, quintic):
-            monkeypatch.setattr(classify, "_minors", kernel)
-            assert list(classify._row_minors(head, steps)) == [
-                next(kernel((*head, b))) for b in steps], (head, steps)
+    monkeypatch.setattr(classify, "_minors", quintic)
+    cells = [(epsilon, a, b) for epsilon in (-1, 1)
+             for a in grid.a_values() for b in grid.b_values()]
+    assert pin_case4(grid).unexpected_passes == tuple(
+        CaseCandidate(4, epsilon=epsilon, a=FieldElem(a),
+                      b=FieldElem(b)).label()
+        for epsilon, a, b in cells if b == 2)
+    monkeypatch.undo()
+    # on the default grid (60 a × 2 ε = 120 rows) the real first minor
+    # refutes every row from its six probes: no cell reaches the kernel
+    calls = {"_minors": 0, "_in_plane": 0}
+    for name in calls:
+        def counted(x, name=name, original=getattr(classify, name)):
+            calls[name] += 1
+            return original(x)
+        monkeypatch.setattr(classify, name, counted)
+    assert pin_case4().unexpected_passes == ()
+    assert calls == {"_minors": 6 * 120, "_in_plane": 0}
 
 
 def test_first_minor_on_case4_rows_is_free_of_b():
@@ -327,6 +335,19 @@ def test_first_minor_on_case4_rows_is_free_of_b():
         b = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         assert next(classify._minors(case4_coords(epsilon, a, b))) \
             == -12 * a * a * (3 * a * a + epsilon)
+
+
+def test_first_minor_is_a_quintic_free_of_b_on_case4_rows():
+    # the six-probe bound: the first minor is homogeneous of degree 5 in X,
+    # and on case-4 rows it is −12a²(3a² + ε) as a polynomial
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x1:7")
+    first = sympy.Poly(next(classify._minors(x)), *x)
+    assert first.is_homogeneous and first.total_degree() == 5
+    a, b = sympy.symbols("a b")
+    for epsilon in (-1, 1):
+        minor = next(classify._minors(case4_coords(epsilon, a, b)))
+        assert sympy.expand(minor + 12 * a**2 * (3 * a**2 + epsilon)) == 0
 
 
 def test_a_vanishing_first_minor_sends_every_cell_to_the_kernel(monkeypatch):
