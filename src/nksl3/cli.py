@@ -27,8 +27,9 @@ from .exactfield import ONE, SQRT2, SQRT3, SQRT6, ZERO, FieldElem
 from .liealg import (FullVec, MVec, ad_numeric, basis_matrix, bracket,
                      coeff_bracket, decompose, dphi, metric,
                      rotation_action_matrix)
-from .nkgeom import (F, J, J1, P, DegeneratePlaneError, curvature,
-                     einstein_constant, nabla_tensor, oracle_sign, sectional)
+from .nkgeom import (F, J, J1, P, DegeneratePlaneError, _metric_rows,
+                     curvature, curvature_table, einstein_constant,
+                     nabla_tensor, oracle_sign, sectional)
 from .surfaces import FAMILIES, SurfaceFamily, certify, generator
 
 SUITES = ("field", "algebra", "tensors", "curvature", "examples",
@@ -361,17 +362,19 @@ def _curvature_checks(spec: SuiteSpec) -> list[Check]:
         return f"216 triples match the bracket route, sign convention {sign:+d}"
 
     def symmetries() -> str:
-        basis = {i: MVec.basis(i) for i in _M_INDICES}
-        table = {(i, j, k): curvature(basis[i], basis[j], basis[k])
-                 for i, j, k in itertools.product(_M_INDICES, repeat=3)}
+        # the integer basis values D·R(eᵢ, eⱼ)eₖ decide each identity, by multilinearity
+        table = {triple: [0] * 6 for triple in itertools.product(_M_INDICES, repeat=3)}
+        for i, j, k, l, t in curvature_table()[1]:
+            table[i + 1, j + 1, k + 1][l] = t
         for i, j, k in itertools.product(_M_INDICES, repeat=3):
-            _require(table[i, j, k] == -table[j, i, k],
+            _require(table[i, j, k] == [-t for t in table[j, i, k]],
                      f"not antisymmetric in the first pair at ({i}, {j}, {k})")
-            bianchi = table[i, j, k] + table[j, k, i] + table[k, i, j]
-            _require(bianchi == MVec.zero(),
+            bianchi = map(sum, zip(table[i, j, k], table[j, k, i], table[k, i, j]))
+            _require(not any(bianchi),
                      f"first Bianchi identity fails at ({i}, {j}, {k})")
-        paired = {(i, j, k, l): metric(table[i, j, k], basis[l])
-                  for i, j, k, l in itertools.product(_M_INDICES, repeat=4)}
+        paired = {(i, j, k, l): sign * table[i, j, k][source]
+                  for i, j, k in itertools.product(_M_INDICES, repeat=3)
+                  for l, (source, sign) in enumerate(_metric_rows(), start=1)}
         for i, j, k, l in itertools.product(_M_INDICES, repeat=4):
             _require(paired[i, j, k, l] == -paired[i, j, l, k],
                      f"not antisymmetric in the last pair at ({i}, {j}, {k}, {l})")

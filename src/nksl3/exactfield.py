@@ -108,9 +108,10 @@ class FieldElem:
         return hash(a) if q == 1 else hash(Fraction(a, q))
 
     def __eq__(self, other: object) -> bool:
-        other = coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = coerce(other)
+            if other is None:
+                return NotImplemented
         return self._v == other._v
 
     def __lt__(self, other: object) -> bool:
@@ -124,11 +125,16 @@ class FieldElem:
         return _reduced(-a, -b, -c, -d, q)
 
     def __add__(self, other: object) -> "FieldElem":
-        other = coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = coerce(other)
+            if other is None:
+                return NotImplemented
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = other._v
+        if not (a2 or b2 or c2 or d2):
+            return self
+        if not (a1 or b1 or c1 or d1):
+            return other
         if q1 == q2:
             return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, q1)
         return _reduced(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1,
@@ -137,9 +143,10 @@ class FieldElem:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "FieldElem":
-        other = coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = coerce(other)
+            if other is None:
+                return NotImplemented
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = other._v
         if q1 == q2:
@@ -154,14 +161,20 @@ class FieldElem:
         return other - self
 
     def __mul__(self, other: object) -> "FieldElem":
-        other = coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not FieldElem:
+            other = coerce(other)
+            if other is None:
+                return NotImplemented
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = other._v
+        # Reduced, a rational 1 is (1, 0, 0, 0, 1) and 0 is (0, 0, 0, 0, 1).
         if not (b2 or c2 or d2):
+            if a2 == q2 or not a2:
+                return self if a2 else ZERO
             return _reduced(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q1 * q2)
         if not (b1 or c1 or d1):
+            if a1 == q1 or not a1:
+                return other if a1 else ZERO
             return _reduced(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q1 * q2)
         return _reduced(
             a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
@@ -352,7 +365,8 @@ def random_element(rng, max_numerator: int = 9, max_denominator: int = 9,
             while (d := getrandbits(dbits)) >= max_denominator:
                 pass
             pairs.append((n - max_numerator, d + 1))
-        q = math.lcm(*(d for _, d in pairs))
-        elem = _reduced(*(n * (q // d) for n, d in pairs), q)
+        (n1, d1), (n2, d2), (n3, d3), (n4, d4) = pairs
+        q = math.lcm(d1, d2, d3, d4)
+        elem = _reduced(n1 * (q // d1), n2 * (q // d2), n3 * (q // d3), n4 * (q // d4), q)
         if elem or not nonzero:
             return elem

@@ -392,23 +392,24 @@ def structure_constants() -> tuple[tuple[tuple[FieldElem, ...], ...], ...]:
 
 
 @cache
-def _bracket_terms() -> tuple[tuple[int, int, tuple[tuple[int, FieldElem], ...]], ...]:
-    """The nonzero structure constants grouped by index pair:
-    (i, j, ((k, c), ...)) with [eᵢ₊₁, eⱼ₊₁] = Σ c·eₖ₊₁."""
-    return tuple((i, j, terms)
-                 for i, row in enumerate(structure_constants())
-                 for j, column in enumerate(row)
-                 if (terms := tuple((k, c) for k, c in enumerate(column) if c)))
+def _bracket_terms() -> tuple[tuple[tuple[int, tuple[tuple[int, FieldElem], ...]], ...], ...]:
+    """The nonzero structure constants indexed by the first slot: row i
+    holds the (j, ((k, c), ...)) with [eᵢ₊₁, eⱼ₊₁] = Σ c·eₖ₊₁ ≠ 0."""
+    return tuple(tuple((j, terms) for j, column in enumerate(row)
+                       if (terms := tuple((k, c) for k, c in enumerate(column) if c)))
+                 for row in structure_constants())
 
 
 def coeff_bracket(x: MVec | FullVec, y: MVec | FullVec) -> FullVec:
-    """[X, Y] over (e₁, …, e₈), contracted from the structure constants."""
-    xc = x.to_full().coeffs if isinstance(x, MVec) else x.coeffs
-    yc = y.to_full().coeffs if isinstance(y, MVec) else y.coeffs
+    """[X, Y] over (e₁, …, e₈), contracted from the structure constants over
+    the support of X; an MVec has no coordinates past e₆."""
+    rows, yc, size = _bracket_terms(), y.coeffs, len(y.coeffs)
     acc = [ZERO] * 8
-    for i, j, terms in _bracket_terms():
-        if xc[i] and yc[j]:
-            product = xc[i] * yc[j]
-            for k, c in terms:
-                acc[k] = acc[k] + c * product
+    for i, xi in enumerate(x.coeffs):
+        if xi:
+            for j, terms in rows[i]:
+                if j < size and (yj := yc[j]):
+                    product = xi * yj
+                    for k, c in terms:
+                        acc[k] = acc[k] + c * product
     return FullVec._raw(tuple(acc))

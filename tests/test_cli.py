@@ -343,12 +343,12 @@ _TABLE_CACHES = (nkgeom.curvature_table, nkgeom.oracle_sign, nkgeom.ricci,
                  classify.tangency_form)
 
 
-def _curvature_records_with(monkeypatch, name, value):
-    """The curvature suite's records with `nkgeom.<name>` patched to
+def _curvature_records_with(monkeypatch, name, value, module=nkgeom):
+    """The curvature suite's records with `module.<name>` patched to
     `value`, every cache of the table cleared before and after."""
     for cached in _TABLE_CACHES:
         cached.cache_clear()
-    monkeypatch.setattr(nkgeom, name, value)
+    monkeypatch.setattr(module, name, value)
     try:
         return {r.name: r for r in cli.run(_spec("curvature")).checks}
     finally:
@@ -375,6 +375,24 @@ def test_oracle_agreement_fails_on_one_changed_coefficient(monkeypatch, index):
     agreement = records["curvature.oracle_agreement"]
     assert not agreement.passed
     assert "no single sign convention" in agreement.witness
+
+
+def test_symmetries_fail_on_a_table_with_one_entry_dropped(monkeypatch):
+    # the check reads the integer table.  Drop one coefficient of
+    # R(eᵢ, eⱼ)eₖ with i < j and i < k, leaving R(eⱼ, eᵢ)eₖ standing: the
+    # sweep reaches (i, j, k) before (j, i, k) and before the Bianchi sums
+    # at (j, k, i) and (k, i, j), and it checks antisymmetry first
+    denominator, entries = nkgeom.curvature_table()
+    dropped = next(entry for entry in entries if entry[0] < min(entry[1:3]))
+    i, j, k, _, _ = dropped
+    kept = tuple(entry for entry in entries if entry != dropped)
+    records = _curvature_records_with(
+        monkeypatch, "curvature_table", lambda: (denominator, kept), cli)
+    symmetries = records["curvature.symmetries"]
+    assert not symmetries.passed
+    assert symmetries.witness == (
+        f"not antisymmetric in the first pair at ({i + 1}, {j + 1}, {k + 1})")
+    assert records["curvature.einstein"].passed
 
 
 def test_stabilizer_rotation_fails_on_a_nan_deviation(monkeypatch):
@@ -424,9 +442,9 @@ def test_the_program_runs_without_numpy():
 def test_jacobi_check_fails_on_a_broken_table(monkeypatch, pairs, witness):
     # flipping [e1, e3] alone breaks antisymmetry; flipping both orders of
     # [e1, e2] keeps it and breaks the Jacobi identity
-    flipped = tuple((i, j, tuple((k, -c) for k, c in terms)
-                     if (i, j) in pairs else terms)
-                    for i, j, terms in liealg._bracket_terms())
+    flipped = tuple(tuple((j, tuple((k, -c) for k, c in terms)
+                           if (i, j) in pairs else terms) for j, terms in row)
+                    for i, row in enumerate(liealg._bracket_terms()))
     monkeypatch.setattr(liealg, "_bracket_terms", lambda: flipped)
     records = {r.name: r for r in cli.run(_spec("algebra")).checks}
     assert records["algebra.jacobi"].witness == witness

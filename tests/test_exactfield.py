@@ -275,12 +275,23 @@ def _assert_matches(got, ref):
 
 
 def test_integer_arithmetic_matches_fraction_reference():
+    # 0, 1, −1 and a rational on either side reach the identity-operand
+    # branches, which must still return reduced values
     rng = random.Random(RNG_SEED + 6)
     for i in range(500):
         bound = (9, 10 ** 3, 10 ** 6)[i % 3]
         x = random_element(rng, bound, bound, nonzero=True)
         y = random_element(rng, bound, bound, nonzero=True)
         rx, ry = x.coords, y.coords
+        for r in (0, 1, -1, y.a):
+            f, rf = FieldElem(r), (Fraction(r), 0, 0, 0)
+            for u, ru, v, rv in ((x, rx, f, rf), (f, rf, x, rx), (f, rf, f, rf)):
+                _assert_matches(u + v, _ref_add(ru, rv))
+                _assert_matches(u - v, _ref_sub(ru, rv))
+                _assert_matches(u * v, _ref_mul(ru, rv))
+            _assert_matches(x + r, _ref_add(rx, rf))
+            _assert_matches(r - x, _ref_sub(rf, rx))
+            _assert_matches(r * x, _ref_mul(rf, rx))
         _assert_matches(x, rx)
         _assert_matches(x + y, _ref_add(rx, ry))
         _assert_matches(x - y, _ref_sub(rx, ry))

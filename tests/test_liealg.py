@@ -212,8 +212,15 @@ def _dense_fullvec(rng):
     return FullVec(random_element(rng, nonzero=True) for _ in range(8))
 
 
+def _sparse_vec(rng, cls):
+    # a random zero pattern: each coefficient is zero with probability ½
+    return cls(random_element(rng, nonzero=True) if rng.random() < 0.5 else ZERO
+               for _ in range(cls._LENGTH))
+
+
 def test_coeff_bracket_matches_matrix_route():
-    # exhaustive on basis pairs (a proof by bilinearity) and on dense pairs
+    # exhaustive on basis pairs (a proof by bilinearity), on dense pairs,
+    # and on sparse pairs of every length, MVec against FullVec both ways
     for i, j in itertools.product(ALL_INDICES, repeat=2):
         x, y = FullVec.basis(i), FullVec.basis(j)
         assert coeff_bracket(x, y) == decompose(
@@ -223,6 +230,12 @@ def test_coeff_bracket_matches_matrix_route():
         x, y = _dense_fullvec(rng), _dense_fullvec(rng)
         assert coeff_bracket(x, y) == decompose(
             bracket(x.to_matrix(), y.to_matrix()))
+    rng = random.Random(RNG_SEED + 4)
+    for types in itertools.product((MVec, FullVec), repeat=2):
+        for _ in range(20):
+            x, y = (_sparse_vec(rng, cls) for cls in types)
+            assert coeff_bracket(x, y) == decompose(
+                bracket(x.to_matrix(), y.to_matrix())), (x, y)
 
 
 def test_coeff_bracket_accepts_tangent_vectors():
