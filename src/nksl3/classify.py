@@ -171,10 +171,10 @@ _ROW_TRIPLES = tuple(itertools.combinations(range(6), 3))
 
 def _minors(x) -> Iterator:
     """The twenty 3×3 minors of [X | JX | V], lazily, rows e₁e₂e₃ first, for
-    a nonzero X over any commutative ring (int, FieldElem): JX is the signed
-    permutation `J.rows` of X and V = D·R(X, JX)JX is `tangency_form` at X.
-    Only +, − and ×; no type checks, no scaling."""
-    jx = [sign * x[source] for source, sign in J.rows]
+    a nonzero X over any commutative ring (int, FieldElem): JX is `J.act(x)`
+    and V = D·R(X, JX)JX is `tangency_form` at X.  Only +, − and ×; no type
+    checks, no scaling."""
+    jx = J.act(x)
     v = [0] * 6
     for l, p, q, r, c in tangency_form():
         v[l] += c * x[p] * x[q] * x[r]

@@ -3,12 +3,13 @@ reductive splitting g = h ⊕ m₁ ⊕ m₂ ⊕ m₃.
 
 h = span{e₇, e₈} is the isotropy algebra of the stabilizer R × SO(2); the
 three two-dimensional blocks m₁, m₂, m₃ fill out the tangent space
-m = m₁ ⊕ m₂ ⊕ m₃.  The invariant metric is ⟨X, Y⟩ = −½·tr(XY).  Structure
-constants, component Gram matrices and the one dual basis, through which
-exact and float matrix coordinates are read, are computed once from the
-basis matrices, never transcribed.  The matrix `bracket` is the definition
-and the reference route; every working bracket, `coeff_bracket`, is
-contracted from the structure constants without a 3×3 product.  A matrix,
+m = m₁ ⊕ m₂ ⊕ m₃.  The invariant metric is ⟨X, Y⟩ = −½·tr(XY).  The
+structure constants, the one Gram, stored as a signed permutation, and the
+one dual basis, through which exact and float matrix coordinates are read,
+are computed once from the basis matrices, never transcribed.  The matrix
+`bracket` is the definition and the reference route; every working
+bracket, `coeff_bracket`, is contracted from the structure constants
+without a 3×3 product.  A matrix,
 `AlgMat`, is its nine entries row by row: the same immutable `_CoeffVec`
 as the coefficient vectors, with the product and transpose on top.
 """
@@ -244,6 +245,9 @@ class FullVec(_CoeffVec):
     def to_matrix(self) -> AlgMat:
         return _combine(self._coeffs)
 
+    def to_full(self) -> "FullVec":
+        return self
+
     def m_part(self) -> MVec:
         return MVec._raw(self._coeffs[:6])
 
@@ -267,17 +271,17 @@ def _combine(coeffs: Sequence[FieldElem]) -> AlgMat:
     return AlgMat._raw(tuple(flat))
 
 
-@cache
-def _gram(size: int) -> tuple[tuple[FieldElem, ...], ...]:
-    return tuple(tuple(metric(_BASIS[i], _BASIS[j]) for j in range(size))
-                 for i in range(size))
+def _gram() -> tuple[tuple[FieldElem, ...], ...]:
+    return tuple(tuple(metric(a, b) for b in _BASIS) for a in _BASIS)
 
 
 @cache
-def _gram_sparse(size: int) -> tuple[tuple[int, int, FieldElem], ...]:
-    return tuple((i, j, entry)
-                 for i, row in enumerate(_gram(size))
-                 for j, entry in enumerate(row) if entry)
+def _metric_rows() -> tuple[tuple[int, int], ...]:
+    """The Gram of e₁..e₈, read once from `_gram`, as a signed permutation:
+    row i is (j, s), s = ⟨eᵢ₊₁, eⱼ₊₁⟩ = ±1 its one nonzero entry.  m ⊥ h, so
+    rows 0–5 are the Gram of m."""
+    return tuple(next((j, int(entry.a)) for j, entry in enumerate(row) if entry)
+                 for row in _gram())
 
 
 def metric(x: AlgMat | MVec | FullVec, y: AlgMat | MVec | FullVec) -> FieldElem:
@@ -286,12 +290,11 @@ def metric(x: AlgMat | MVec | FullVec, y: AlgMat | MVec | FullVec) -> FieldElem:
         return _MINUS_HALF * _trace_product(x, y)
     if type(x) is not type(y):
         x, y = x.to_full(), y.to_full()
-    xc, yc = x.coeffs, y.coeffs
+    yc = y.coeffs
     acc = ZERO
-    for i, j, g in _gram_sparse(len(xc)):
-        term = xc[i] * yc[j]
-        if term:
-            acc = acc + term * g
+    for a, (j, sign) in zip(x.coeffs, _metric_rows()):
+        if a and (b := yc[j]):
+            acc = acc + a * b if sign > 0 else acc - a * b
     return acc
 
 
@@ -300,7 +303,7 @@ def _dual() -> tuple[tuple[tuple[int, int, FieldElem], ...], ...]:
     """The dual basis as matrix entries: row i lists the nonzero (r, c, w)
     with eᵢ₊₁-coefficient(X) = Σ w·X[r][c] for traceless X, read off
     coeffs = G⁻¹ · (⟨eⱼ, X⟩)ⱼ with ⟨eⱼ, X⟩ = −½·Σ eⱼ[c][r]·X[r][c]."""
-    inverse = linalg.invert([list(row) for row in _gram(8)])
+    inverse = linalg.invert([list(row) for row in _gram()])
     return tuple(
         tuple((r, c, w) for r in range(3) for c in range(3)
               if (w := _MINUS_HALF * sum((g * e[c, r] for g, e in zip(row, _BASIS)),
@@ -378,7 +381,6 @@ def dphi(x: MVec) -> MVec:
     return m_component(-x.to_matrix().transpose())
 
 
-@cache
 def structure_constants() -> tuple[tuple[tuple[FieldElem, ...], ...], ...]:
     """c[i][j][k] with [eᵢ₊₁, eⱼ₊₁] = Σₖ c[i][j][k]·eₖ₊₁, computed from the
     basis matrices."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 
 from .exactfield import ZERO, FieldElem
-from .liealg import FullVec, MVec, _gram, coeff_bracket, metric
+from .liealg import FullVec, MVec, _metric_rows, coeff_bracket, metric
 
 
 class DegeneratePlaneError(ValueError):
@@ -45,10 +45,12 @@ class InvariantTensor:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("InvariantTensor is immutable")
 
+    def act(self, v) -> list:
+        """TX for a 6-sequence X over any commutative ring (int, FieldElem)."""
+        return [sign * v[source] for source, sign in self.rows]
+
     def apply(self, x: MVec) -> MVec:
-        c = x.coeffs
-        return MVec._raw(tuple(c[source] if sign > 0 else -c[source] if sign else ZERO
-                               for source, sign in self.rows))
+        return MVec._raw(tuple(self.act(x.coeffs)))
 
     def compose(self, other: "InvariantTensor", name: str | None = None) -> "InvariantTensor":
         # Row i of T∘S is the row of S that T's row i reads, signs multiplied.
@@ -84,7 +86,7 @@ F = _from_images("F", {3: (4, 1), 4: (3, -1), 5: (6, -1), 6: (5, 1)})
 P = J1.compose(J, name="J1J")
 
 
-_HALF = Fraction(1, 2)
+_HALF = FieldElem(Fraction(1, 2))
 
 
 def nabla(x: MVec, y: MVec) -> MVec:
@@ -102,18 +104,6 @@ def nabla_tensor(tensor: InvariantTensor, x: MVec, y: MVec) -> MVec:
 _D, _COEFFICIENTS = 4, (10, 3, 9, 3, 12)
 
 
-@cache
-def _metric_rows() -> tuple[tuple[int, int], ...]:
-    """The Gram of m, read once from `liealg._gram(6)`, as a signed
-    permutation: row i is (j, s), s = ⟨eᵢ₊₁, eⱼ₊₁⟩ = ±1 its one nonzero entry."""
-    return tuple(next((j, int(entry.a)) for j, entry in enumerate(row) if entry)
-                 for row in _gram(6))
-
-
-def _act(tensor: InvariantTensor, v) -> list:
-    return [sign * v[source] for source, sign in tensor.rows]
-
-
 def _five_term(x, y, z) -> tuple:
     """D·R(X, Y)Z by the five-term invariant formula in the metric, J, the
     product involution J₁J and F, all acting as signed permutations, for
@@ -123,9 +113,9 @@ def _five_term(x, y, z) -> tuple:
     def g(u, v):
         return sum([sign * a * v[j] for a, (j, sign) in zip(u, rows)])
 
-    jx, jy, jz = _act(J, x), _act(J, y), _act(J, z)
-    px, py, pz = _act(P, x), _act(P, y), _act(P, z)
-    fx, fy, fz = _act(F, x), _act(F, y), _act(F, z)
+    jx, jy, jz = J.act(x), J.act(y), J.act(z)
+    px, py, pz = P.act(x), P.act(y), P.act(z)
+    fx, fy, fz = F.act(x), F.act(y), F.act(z)
     c1, c2, c3, c4, c5 = _COEFFICIENTS
     terms = (
         (c1, ((g(y, z), x), (-g(x, z), y))),
@@ -160,35 +150,29 @@ def curvature(x: MVec, y: MVec, z: MVec) -> MVec:
     for i, j, k, l, t in entries:
         if xs[i] and ys[j] and zs[k]:
             acc[l] = acc[l] + xc[i] * yc[j] * zc[k] * t
-    return MVec._raw(tuple(c * Fraction(1, denominator) for c in acc))
-
-
-def _oracle_raw(x: MVec, y: MVec, z: MVec) -> MVec:
-    bxy = coeff_bracket(x, y)
-    first = nabla(x, nabla(y, z)) - nabla(y, nabla(x, z))
-    horizontal = nabla(bxy.m_part(), z)
-    isotropy = coeff_bracket(FullVec((ZERO,) * 6 + bxy.h_coeffs()), z).m_part()
-    return first - horizontal - isotropy
-
-
-@cache
-def oracle_sign() -> int:
-    """Check the convention R(X, Y) = ∇_X∇_Y − ∇_Y∇_X − ∇_{[X,Y]}: the five-term
-    formula equals the bracket-only route on every basis triple, some value
-    nonzero (zero fits either sign).  The sign is +1; else a hard failure."""
-    basis = [MVec.basis(i) for i in range(1, 7)]
-    pairs = [(curvature(x, y, z), _oracle_raw(x, y, z))
-             for x in basis for y in basis for z in basis]
-    if not any(raw for _, raw in pairs) or any(raw != expected for expected, raw in pairs):
-        raise RuntimeError("no single sign convention reconciles the curvature routes")
-    return 1
+    return MVec._raw(tuple(acc)) * FieldElem(Fraction(1, denominator))
 
 
 def curvature_oracle(x: MVec, y: MVec, z: MVec) -> MVec:
     """R(X, Y)Z computed from brackets alone:
-    ∇_X∇_Y Z − ∇_Y∇_X Z − ∇_{[X,Y]_m} Z − [[X, Y]_h, Z], in the convention
-    that `oracle_sign` checks."""
-    return _oracle_raw(x, y, z) * oracle_sign()
+    ∇_X∇_Y Z − ∇_Y∇_X Z − ∇_{[X,Y]_m} Z − [[X, Y]_h, Z]."""
+    bxy = coeff_bracket(x, y)
+    first = nabla(x, nabla(y, z)) - nabla(y, nabla(x, z))
+    horizontal = nabla(bxy.m_part(), z)
+    isotropy = coeff_bracket(FullVec._raw((ZERO,) * 6 + bxy.h_coeffs()), z).m_part()
+    return first - horizontal - isotropy
+
+
+def oracle_sign() -> int:
+    """Check the convention R(X, Y) = ∇_X∇_Y − ∇_Y∇_X − ∇_{[X,Y]}: `curvature`
+    equals `curvature_oracle` on every basis triple, some value nonzero (zero
+    fits either sign).  The sign is +1; else a hard failure."""
+    basis = [MVec.basis(i) for i in range(1, 7)]
+    pairs = [(curvature(x, y, z), curvature_oracle(x, y, z))
+             for x in basis for y in basis for z in basis]
+    if not any(oracle for _, oracle in pairs) or any(oracle != value for value, oracle in pairs):
+        raise RuntimeError("no single sign convention reconciles the curvature routes")
+    return 1
 
 
 def sectional(x: MVec, y: MVec) -> FieldElem:
@@ -199,7 +183,6 @@ def sectional(x: MVec, y: MVec) -> FieldElem:
     return metric(curvature(x, y, y), x) / discriminant
 
 
-@cache
 def ricci() -> tuple[tuple[FieldElem, ...], ...]:
     """Ric(Y, Z) as the trace of X ↦ R(X, Y)Z: entry (y, z) sums the
     `curvature_table` entries (i, y, z, i, t), the eᵢ coefficients of R(eᵢ, e_y)e_z."""

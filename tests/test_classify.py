@@ -433,7 +433,7 @@ def test_curvature_table_reproduces_curvature_on_basis_triples():
     for i, j, k, l, t in entries:
         rebuilt.setdefault((i, j, k), [0] * 6)[l] = t
     for i, j, k in itertools.product(range(6), repeat=3):
-        expected = nkgeom._oracle_raw(_e(i + 1), _e(j + 1), _e(k + 1)) * denominator
+        expected = nkgeom.curvature_oracle(_e(i + 1), _e(j + 1), _e(k + 1)) * denominator
         assert MVec(rebuilt.get((i, j, k), [0] * 6)) == expected, (i, j, k)
 
 

@@ -320,27 +320,24 @@ def test_unencodable_stdout_exits_2():
 
 
 def test_oracle_agreement_fails_when_routes_disagree(monkeypatch):
-    original = nkgeom._oracle_raw
+    original = nkgeom.curvature_oracle
     e1, e2 = MVec.basis(1), MVec.basis(2)
 
     def perturbed(x, y, z):
         raw = original(x, y, z)
         return raw + e1 if (x, y, z) == (e1, e2, e2) else raw
 
-    nkgeom.oracle_sign.cache_clear()
-    monkeypatch.setattr(nkgeom, "_oracle_raw", perturbed)
+    monkeypatch.setattr(nkgeom, "curvature_oracle", perturbed)
     try:
         records = {r.name: r for r in cli.run(_spec("curvature")).checks}
     finally:
         monkeypatch.undo()
-        nkgeom.oracle_sign.cache_clear()
     agreement = records["curvature.oracle_agreement"]
     assert not agreement.passed
     assert "no single sign convention" in agreement.witness
 
 
-_TABLE_CACHES = (nkgeom.curvature_table, nkgeom.oracle_sign, nkgeom.ricci,
-                 classify.tangency_form)
+_TABLE_CACHES = (nkgeom.curvature_table, classify.tangency_form)
 
 
 def _curvature_records_with(monkeypatch, name, value, module=nkgeom):
@@ -368,13 +365,15 @@ def test_oracle_agreement_fails_on_a_negated_five_term(monkeypatch):
 @pytest.mark.parametrize("index", range(5))
 def test_oracle_agreement_fails_on_one_changed_coefficient(monkeypatch, index):
     # each of the five terms is needed: one integer coefficient over D
-    # lowered by one leaves a tensor the bracket route refutes
+    # lowered by one leaves a tensor the bracket route refutes, and whose
+    # Ricci trace is no longer 5 times the metric
     mutant = list(nkgeom._COEFFICIENTS)
     mutant[index] -= 1
     records = _curvature_records_with(monkeypatch, "_COEFFICIENTS", tuple(mutant))
     agreement = records["curvature.oracle_agreement"]
     assert not agreement.passed
     assert "no single sign convention" in agreement.witness
+    assert not records["curvature.einstein"].passed
 
 
 def test_symmetries_fail_on_a_table_with_one_entry_dropped(monkeypatch):

@@ -97,11 +97,18 @@ def test_metric_table():
 
 
 def test_metric_on_vectors_matches_matrices():
+    # full vectors reach the e₇, e₈ rows of the Gram; a mixed pair is widened
     rng = random.Random(RNG_SEED + 1)
     for _ in range(40):
         x = MVec(random_element(rng) for _ in range(6))
         y = MVec(random_element(rng) for _ in range(6))
+        u = FullVec(random_element(rng) for _ in range(8))
+        v = FullVec(random_element(rng) for _ in range(8))
         assert metric(x, y) == metric(x.to_matrix(), y.to_matrix())
+        assert metric(u, v) == metric(u.to_matrix(), v.to_matrix())
+        assert metric(x, v) == metric(v, x) == metric(x.to_matrix(), v.to_matrix())
+    zero = metric(MVec.zero(), MVec.basis(1))
+    assert type(zero) is FieldElem and zero == ZERO
 
 
 def test_tangent_signature():

@@ -178,25 +178,17 @@ def test_oracle_sign_is_direct():
     assert oracle_sign() == 1
 
 
-@pytest.fixture
-def fresh_oracle_sign():
-    nkgeom.oracle_sign.cache_clear()
-    yield
-    nkgeom.oracle_sign.cache_clear()
-
-
-def test_oracle_sign_refuses_a_negated_oracle(monkeypatch, fresh_oracle_sign):
+def test_oracle_sign_refuses_a_negated_oracle(monkeypatch):
     # only R(X, Y) = ∇_X∇_Y − ∇_Y∇_X − ∇_{[X,Y]} is accepted, not its negative
-    original = nkgeom._oracle_raw
-    monkeypatch.setattr(nkgeom, "_oracle_raw", lambda x, y, z: -original(x, y, z))
+    original = nkgeom.curvature_oracle
+    monkeypatch.setattr(nkgeom, "curvature_oracle", lambda x, y, z: -original(x, y, z))
     with pytest.raises(RuntimeError, match="no single sign convention"):
         oracle_sign()
 
 
 @pytest.mark.parametrize("zero_curvature", [False, True])
-def test_oracle_sign_refuses_an_all_zero_oracle(monkeypatch, fresh_oracle_sign,
-                                                zero_curvature):
-    monkeypatch.setattr(nkgeom, "_oracle_raw", lambda x, y, z: MVec.zero())
+def test_oracle_sign_refuses_an_all_zero_oracle(monkeypatch, zero_curvature):
+    monkeypatch.setattr(nkgeom, "curvature_oracle", lambda x, y, z: MVec.zero())
     if zero_curvature:
         # every value zero: both signs fit, so neither may be chosen
         monkeypatch.setattr(nkgeom, "curvature", lambda x, y, z: MVec.zero())
