@@ -4,14 +4,15 @@ reductive splitting g = h ⊕ m₁ ⊕ m₂ ⊕ m₃.
 h = span{e₇, e₈} is the isotropy algebra of the stabilizer R × SO(2); the
 three two-dimensional blocks m₁, m₂, m₃ fill out the tangent space
 m = m₁ ⊕ m₂ ⊕ m₃.  The invariant metric is ⟨X, Y⟩ = −½·tr(XY).  The
-structure constants, the one Gram, stored as a signed permutation, and the
-one dual basis, through which exact and float matrix coordinates are read,
-are computed once from the basis matrices, never transcribed.  The matrix
-`bracket` is the definition and the reference route; every working
-bracket, `coeff_bracket`, is contracted from the structure constants
-without a 3×3 product.  A matrix,
-`AlgMat`, is its nine entries row by row: the same immutable `_CoeffVec`
-as the coefficient vectors, with the product and transpose on top.
+structure constants and the one Gram, a signed permutation and so its own
+inverse, are computed once from the basis matrices, never transcribed.  The
+dual basis, through which exact and float matrix coordinates are read, is
+read off that Gram and the sparse basis entries transposed, with no matrix
+inverse.  The matrix `bracket` is the definition and the reference route;
+every working bracket, `coeff_bracket`, is contracted from the structure
+constants without a 3×3 product.  A matrix, `AlgMat`, is its nine entries
+row by row: the same immutable `_CoeffVec` as the coefficient vectors, with
+the product and transpose on top.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from . import linalg
 from .exactfield import ONE, SQRT2, SQRT3, ZERO, FieldElem, coerce
 
 FloatMat = list[list[float]]  # the float cross-checks run on nested lists
@@ -271,17 +271,14 @@ def _combine(coeffs: Sequence[FieldElem]) -> AlgMat:
     return AlgMat._raw(tuple(flat))
 
 
-def _gram() -> tuple[tuple[FieldElem, ...], ...]:
-    return tuple(tuple(metric(a, b) for b in _BASIS) for a in _BASIS)
-
-
 @cache
 def _metric_rows() -> tuple[tuple[int, int], ...]:
-    """The Gram of e₁..e₈, read once from `_gram`, as a signed permutation:
-    row i is (j, s), s = ⟨eᵢ₊₁, eⱼ₊₁⟩ = ±1 its one nonzero entry.  m ⊥ h, so
-    rows 0–5 are the Gram of m."""
-    return tuple(next((j, int(entry.a)) for j, entry in enumerate(row) if entry)
-                 for row in _gram())
+    """The Gram of e₁..e₈, read once from the trace form, as a signed
+    permutation: row i is (j, s), s = ⟨eᵢ₊₁, eⱼ₊₁⟩ = ±1 its one nonzero
+    entry.  m ⊥ h, so rows 0–5 are the Gram of m."""
+    return tuple(next((j, int(entry.a)) for j, b in enumerate(_BASIS)
+                      if (entry := metric(a, b)))
+                 for a in _BASIS)
 
 
 def metric(x: AlgMat | MVec | FullVec, y: AlgMat | MVec | FullVec) -> FieldElem:
@@ -300,15 +297,15 @@ def metric(x: AlgMat | MVec | FullVec, y: AlgMat | MVec | FullVec) -> FieldElem:
 
 @cache
 def _dual() -> tuple[tuple[tuple[int, int, FieldElem], ...], ...]:
-    """The dual basis as matrix entries: row i lists the nonzero (r, c, w)
-    with eᵢ₊₁-coefficient(X) = Σ w·X[r][c] for traceless X, read off
-    coeffs = G⁻¹ · (⟨eⱼ, X⟩)ⱼ with ⟨eⱼ, X⟩ = −½·Σ eⱼ[c][r]·X[r][c]."""
-    inverse = linalg.invert([list(row) for row in _gram()])
+    """The dual basis as matrix entries: row i lists the nonzero (r, c, w),
+    in ascending (r, c), with eᵢ₊₁-coefficient(X) = Σ w·X[r][c] for traceless
+    X.  coeffs = G⁻¹ · (⟨eⱼ, X⟩)ⱼ, and G⁻¹ = G: the Gram is symmetric and has
+    one ±1 per row, so G² = I.  Row i is then s·⟨eⱼ, X⟩ = −½·s·Σ eⱼ[c][r]·X[r][c]
+    for the (j, s) of Gram row i: eⱼ's entries read transposed."""
     return tuple(
-        tuple((r, c, w) for r in range(3) for c in range(3)
-              if (w := _MINUS_HALF * sum((g * e[c, r] for g, e in zip(row, _BASIS)),
-                                         ZERO)))
-        for row in inverse)
+        tuple(sorted((p % 3, p // 3, _MINUS_HALF * sign * entry)
+                     for p, entry in _BASIS_ENTRIES[j]))
+        for j, sign in _metric_rows())
 
 
 def decompose(x: AlgMat) -> FullVec:
@@ -342,22 +339,17 @@ def stabilizer_element(t: float, s: float) -> FloatMat:
     ]
 
 
-@cache
-def basis_float() -> list[FloatMat]:
-    """The basis matrices e₁..e₈ as 3×3 float matrices."""
-    return [mat.to_float() for mat in _BASIS]
-
-
 def ad_numeric(t: float, s: float, x: MVec) -> list[float]:
     """Float coefficients of Ad(h(t, s))·X over (e₁, …, e₆), read through `_dual`.
 
     Conjugation by the stabilizer preserves the tangent space, so the
     e₇, e₈ coefficients of the result vanish and are dropped.
     """
-    coeffs = [c.to_float() for c in x.coeffs]
-    matrix = [[sum(c * e[r][col] for c, e in zip(coeffs, basis_float()))
-               for col in range(3)] for r in range(3)]
-    conjugated = matmul(matmul(stabilizer_element(t, s), matrix),
+    flat = [0.0] * 9
+    for coeff, entries in zip(x.coeffs, _BASIS_ENTRIES):
+        for p, entry in entries:
+            flat[p] += coeff.to_float() * entry.to_float()
+    conjugated = matmul(matmul(stabilizer_element(t, s), [flat[0:3], flat[3:6], flat[6:9]]),
                         stabilizer_element(-t, -s))
     return [sum(w.to_float() * conjugated[r][col] for r, col, w in entries)
             for entries in _dual()[:6]]

@@ -12,11 +12,11 @@ import pytest
 from nksl3.exactfield import (ONE, SQRT2, SQRT3, ZERO, FieldElem,
                               random_element)
 from nksl3.liealg import (SUBSPACES, AlgMat, FullVec, MVec, _dual,
-                          ad_numeric, basis_float,
+                          _metric_rows, ad_numeric,
                           basis_matrix, bracket, coeff_bracket, decompose,
                           dphi, metric, rotation_action_matrix,
                           stabilizer_element, structure_constants)
-from nksl3 import linalg
+from nksl3 import liealg, linalg
 
 RNG_SEED = 40
 
@@ -193,13 +193,71 @@ def test_dual_has_thirteen_entries():
 def test_dual_float_is_the_float_gram_inverse_route():
     inverse = np.array([[entry.to_float() for entry in row]
                         for row in _reference_gram_inverse()])
-    pairing = -0.5 * np.array(basis_float()).transpose(0, 2, 1).reshape(8, 9)
+    basis = [basis_matrix(i).to_float() for i in ALL_INDICES]
+    pairing = -0.5 * np.array(basis).transpose(0, 2, 1).reshape(8, 9)
     # the float image of rows e₁..e₆ of `_dual`, read against a flattened X
     dual = np.zeros((6, 9))
     for i, entries in enumerate(_dual()[:6]):
         for r, c, w in entries:
             dual[i, 3 * r + c] = w.to_float()
     assert np.array_equal(dual, (inverse @ pairing)[:6])
+
+
+def test_metric_rows_are_the_gram_and_their_own_inverse():
+    rows = _metric_rows()
+    dense = [[ZERO] * 8 for _ in range(8)]
+    for i, (j, sign) in enumerate(rows):
+        dense[i][j] = FieldElem(sign)
+    for i, j in itertools.product(ALL_INDICES, repeat=2):
+        assert dense[i - 1][j - 1] == metric(basis_matrix(i), basis_matrix(j)), (i, j)
+    # symmetric and its own inverse, which the transposed `_dual` rests on
+    for i, (j, sign) in enumerate(rows):
+        assert rows[j] == (i, sign), i
+
+
+def test_decompose_needs_no_gram_inverse(monkeypatch):
+    pairings = 0
+    trace_product = liealg._trace_product
+
+    def counting(x, y):
+        nonlocal pairings
+        pairings += 1
+        return trace_product(x, y)
+
+    def refuse(rows):
+        raise AssertionError("decompose inverted a matrix")
+
+    liealg._metric_rows.cache_clear()
+    liealg._dual.cache_clear()
+    monkeypatch.setattr(liealg, "_trace_product", counting)
+    monkeypatch.setattr(linalg, "invert", refuse)
+    try:
+        for i in ALL_INDICES:
+            assert decompose(basis_matrix(i)) == FullVec.basis(i)
+    finally:
+        monkeypatch.undo()
+        liealg._metric_rows.cache_clear()
+        liealg._dual.cache_clear()
+    assert pairings <= 64, pairings
+
+
+def test_ad_numeric_matches_dense_float_route_bitwise():
+    # the dense route: Σ cᵢ·eᵢ over the float basis matrices, conjugated,
+    # then read through the float `_dual`
+    basis = [basis_matrix(i).to_float() for i in M_INDICES]
+    rng = random.Random(RNG_SEED + 11)
+    for _ in range(200):
+        t = rng.uniform(-1.0, 1.0)
+        s = rng.uniform(-math.pi, math.pi)
+        x = MVec(random_element(rng) for _ in range(6))
+        coeffs = [c.to_float() for c in x.coeffs]
+        matrix = [[sum(c * e[r][col] for c, e in zip(coeffs, basis))
+                   for col in range(3)] for r in range(3)]
+        conjugated = liealg.matmul(liealg.matmul(stabilizer_element(t, s), matrix),
+                                   stabilizer_element(-t, -s))
+        dense = [sum(w.to_float() * conjugated[r][col] for r, col, w in entries)
+                 for entries in _dual()[:6]]
+        assert list(map(float.hex, ad_numeric(t, s, x))) == list(map(float.hex, dense))
 
 
 def test_vectors_reject_bool_scalars():
