@@ -111,12 +111,15 @@ class CaseCandidate:
 
 @dataclass(frozen=True)
 class SpanDecision:
-    contained: bool
+    """Whether `value` lies in the span tested, with the coefficients that
+    combine it from the spanning pair or the echelon row of the pivot."""
+    value: MVec
+    in_span: bool
     coefficients: tuple[FieldElem, FieldElem] | None
     pivot_row: int | None
 
     def witness(self) -> str:
-        if self.contained:
+        if self.in_span:
             alpha, beta = self.coefficients
             return f"coefficients ({alpha}, {beta})"
         return f"rank 3; pivot in echelon row {self.pivot_row}"
@@ -127,29 +130,21 @@ def in_span(v: MVec, x: MVec, y: MVec) -> SpanDecision:
     coeffs, pivot_row = linalg.solve_in_span(
         [list(x.coeffs), list(y.coeffs)], list(v.coeffs))
     if coeffs is None:
-        return SpanDecision(False, None, pivot_row)
-    return SpanDecision(True, (coeffs[0], coeffs[1]), None)
+        return SpanDecision(v, False, None, pivot_row)
+    return SpanDecision(v, True, (coeffs[0], coeffs[1]), None)
 
 
-@dataclass(frozen=True)
-class TangencyResult:
-    value: MVec
-    in_span: bool
-    witness: SpanDecision
-
-
-def _tangency(x: MVec) -> tuple[MVec, SpanDecision]:
-    """R(X, JX)JX and whether it lies in span{X, JX}, over the field."""
+def _tangency(x: MVec) -> SpanDecision:
+    """Whether R(X, JX)JX, the decision's `value`, lies in span{X, JX},
+    over the field."""
     jx = J.apply(x)
-    value = curvature(x, jx, jx)
-    return value, in_span(value, x, jx)
+    return in_span(curvature(x, jx, jx), x, jx)
 
 
-def tangency_test(candidate: CaseCandidate) -> TangencyResult:
+def tangency_test(candidate: CaseCandidate) -> SpanDecision:
     """Whether R(X, JX)JX stays in span{X, JX}, as on a totally geodesic surface;
     then so does R(X, JX)X = −J·R(X, JX)JX, since R(X, JX) commutes with J."""
-    value, decision = _tangency(candidate.vector())
-    return TangencyResult(value, decision.contained, decision)
+    return _tangency(candidate.vector())
 
 
 @cache
@@ -348,7 +343,7 @@ def match_survivors() -> dict[str, str | None]:
     tangent data to the surfaces is that geodesics from the base point are
     exp(Y)·o in a naturally reductive space."""
     return {label: fid if in_span(candidate.vector(),
-                                  *generator(fid)).contained else None
+                                  *generator(fid)).in_span else None
             for label, candidate, fid in _SURVIVOR_TABLE}
 
 
@@ -373,7 +368,7 @@ def eliminate_case2() -> list[EliminationReport]:
     for epsilon in (-1, 1):
         x = CaseCandidate(2, epsilon=epsilon).vector()
         for rep_name, vec in (("m1+m3", x), ("m1+m2 (dphi image)", dphi(x))):
-            value, decision = _tangency(vec)
-            reports.append(EliminationReport(epsilon, rep_name, vec, value,
-                                             not decision.contained))
+            decision = _tangency(vec)
+            reports.append(EliminationReport(epsilon, rep_name, vec, decision.value,
+                                             not decision.in_span))
     return reports

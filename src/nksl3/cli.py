@@ -16,7 +16,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from . import exactfield, linalg
@@ -423,7 +423,7 @@ def _examples_checks(spec: SuiteSpec) -> list[Check]:
         def run() -> str:
             cert = certify(fam.id, samples=spec.samples, tol=spec.tol,
                            seed=spec.seed)
-            _require(cert.ok, f"certificate failed: {cert.to_dict()}")
+            _require(cert.ok, f"certificate failed: {asdict(cert)}")
             sig = cert.induced_signature
             return (f"signature {sig}, curvature {cert.curvature}, "
                     f"orbit {fam.orbit_group} (dim {cert.orbit_algebra_dim}), "
@@ -449,7 +449,7 @@ def _classify_checks(spec: SuiteSpec) -> list[Check]:
             norm = metric(candidate.vector(), candidate.vector())
             _require(norm == candidate.expected_norm(),
                      f"norm {norm}, expected {candidate.expected_norm()}")
-            return (f"R(X,JX)JX stays tangent, {result.witness.witness()}, "
+            return (f"R(X,JX)JX stays tangent, {result.witness()}, "
                     f"norm {'+' if norm.sign() > 0 else ''}{norm}")
         return run
 

@@ -17,6 +17,7 @@ import math
 import re
 from fractions import Fraction
 from functools import total_ordering
+from typing import Iterable
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -47,6 +48,26 @@ def _sign_sqrt2(p: int, q: int) -> int:
     # p and q have opposite signs: the sign follows p exactly when
     # p² beats 2q², since (p + q√2)(p − q√2) = p² − 2q².
     return sp * _sign_int(p * p - 2 * q * q)
+
+
+def signed_sum(terms: Iterable[tuple[bool, str, str]]) -> str:
+    """The text of a sum from its nonzero terms (negative, magnitude, unit),
+    in order: "-1/2 + √2", "e1 - (1/3)e5", "0" when there is none.  Before a
+    unit a magnitude of 1 is left out and one that is not digits alone is
+    parenthesized; a term with no unit is its magnitude."""
+    parts: list[str] = []
+    for negative, magnitude, unit in terms:
+        if unit and magnitude == "1":
+            body = unit
+        elif unit and not magnitude.isdigit():
+            body = f"({magnitude}){unit}"
+        else:
+            body = magnitude + unit
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
 
 
 @total_ordering
@@ -90,11 +111,6 @@ class FieldElem:
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         *nums, q = self._v
         return tuple(Fraction(n, q) for n in nums)
-
-    @property
-    def is_rational(self) -> bool:
-        _, b, c, d, _ = self._v
-        return not (b or c or d)
 
     def __bool__(self) -> bool:
         a, b, c, d, _ = self._v
@@ -259,24 +275,9 @@ class FieldElem:
     __float__ = to_float
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for coef, radical in zip(self.coords, ("", "√2", "√3", "√6")):
-            if not coef:
-                continue
-            mag = abs(coef)
-            if not radical:
-                body = str(mag)
-            elif mag == 1:
-                body = radical
-            elif mag.denominator == 1:
-                body = f"{mag}{radical}"
-            else:
-                body = f"({mag}){radical}"
-            if not parts:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return signed_sum((coef < 0, str(abs(coef)), radical)
+                          for coef, radical in zip(self.coords, ("", "√2", "√3", "√6"))
+                          if coef)
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"

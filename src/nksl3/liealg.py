@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .exactfield import ONE, SQRT2, SQRT3, ZERO, FieldElem, coerce
+from .exactfield import ONE, SQRT2, SQRT3, ZERO, FieldElem, coerce, signed_sum
 
 FloatMat = list[list[float]]  # the float cross-checks run on nested lists
 
@@ -116,23 +116,10 @@ class _CoeffVec:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        parts = []
-        for index, coeff in enumerate(self._coeffs, start=1):
-            if not coeff:
-                continue
-            sign = coeff.sign()
-            mag = coeff if sign >= 0 else -coeff
-            if mag == ONE:
-                body = f"e{index}"
-            elif mag.is_rational and mag.a.denominator == 1:
-                body = f"{mag}e{index}"
-            else:
-                body = f"({mag})e{index}"
-            if not parts:
-                parts.append(body if sign >= 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if sign >= 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        signed = ((coeff.sign() < 0, coeff, index)
+                  for index, coeff in enumerate(self._coeffs, start=1) if coeff)
+        return signed_sum((negative, str(-coeff if negative else coeff), f"e{index}")
+                          for negative, coeff, index in signed)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

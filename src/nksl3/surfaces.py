@@ -217,9 +217,6 @@ class ExpCheckResult:
     def passed(self) -> bool:
         return self.max_dev <= self.tol
 
-    def to_dict(self) -> dict:
-        return {"samples": self.samples, "tol": self.tol, "max_dev": self.max_dev}
-
 
 def exp_check(fid: str, samples: int = 100, tol: float = 1e-8,
               seed: int = 0) -> ExpCheckResult:
@@ -320,16 +317,6 @@ class Certificate:
                 and self.curvature == expected
                 and self.orbit_algebra_dim == fam.orbit_dim
                 and self.exp_check.passed)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "totally_geodesic": self.totally_geodesic,
-            "induced_signature": list(self.induced_signature),
-            "curvature": self.curvature,
-            "orbit_algebra_dim": self.orbit_algebra_dim,
-            "exp_check": self.exp_check.to_dict(),
-        }
 
 
 def certify(fid: str, samples: int = 100, tol: float = 1e-8,

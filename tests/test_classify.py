@@ -83,10 +83,10 @@ def test_expected_norms_match_metric():
 
 def test_in_span_decision_variants():
     hit = in_span(_e(1) * 2 - _e(2), _e(1), _e(2))
-    assert hit.contained
+    assert hit.in_span
     assert hit.coefficients == (FieldElem(2), FieldElem(-1))
     miss = in_span(_e(3), _e(1), _e(2))
-    assert not miss.contained
+    assert not miss.in_span
     assert miss.coefficients is None
     assert miss.pivot_row is not None
     assert "rank 3" in miss.witness()
@@ -116,7 +116,24 @@ def test_polarized_tangency_operator_commutes_with_j():
 def test_case1_value():
     result = tangency_test(CaseCandidate(1))
     assert result.value == _e(1) * (-4)
-    assert result.witness.coefficients == (FieldElem(-4), ZERO)
+    assert result.coefficients == (FieldElem(-4), ZERO)
+
+
+def test_span_decision_carries_the_tested_value():
+    hit, miss = _e(1) * 2 - _e(2), _e(3)
+    assert in_span(hit, _e(1), _e(2)).value is hit
+    assert in_span(miss, _e(1), _e(2)).value is miss
+    candidates = [CaseCandidate(1), CaseCandidate(3, epsilon=1),
+                  CaseCandidate(3, epsilon=-1), claimed_case4_point(),
+                  CaseCandidate(5), CaseCandidate(2, epsilon=1),
+                  CaseCandidate(2, epsilon=-1)]
+    for candidate in candidates:
+        x = candidate.vector()
+        jx = J.apply(x)
+        value = curvature(x, jx, jx)
+        result = tangency_test(candidate)
+        assert result.value == value, candidate.label()
+        assert result.witness() == in_span(value, x, jx).witness(), candidate.label()
 
 
 def test_case2_value_is_the_expected_combination():
@@ -178,7 +195,7 @@ def test_tangency_invariant_under_recombination():
             xp = x * alpha + jx * beta
             jxp = J.apply(xp)
             value = curvature(xp, jxp, jxp)
-            assert in_span(value, x, jx).contained, candidate.label()
+            assert in_span(value, x, jx).in_span, candidate.label()
 
 
 def test_grid_spec_parse_and_counts():
@@ -549,7 +566,7 @@ def test_rational_tangency_agrees_with_reference_on_small_vectors():
             continue
         x = MVec(coords)
         jx = J.apply(x)
-        expected = in_span(curvature(x, jx, jx), x, jx).contained
+        expected = in_span(curvature(x, jx, jx), x, jx).in_span
         assert rational_tangency(coords) == expected, coords
         passes += expected
     assert passes == 36

@@ -144,6 +144,41 @@ def test_str_rendering():
     assert str(FieldElem(0, 0, 2)) == "2√3"
 
 
+def _reference_str(x):
+    """The field renderer as written before it shared `signed_sum`."""
+    parts = []
+    for coef, radical in zip(x.coords, ("", "√2", "√3", "√6")):
+        if not coef:
+            continue
+        mag = abs(coef)
+        if not radical:
+            body = str(mag)
+        elif mag == 1:
+            body = radical
+        elif mag.denominator == 1:
+            body = f"{mag}{radical}"
+        else:
+            body = f"({mag}){radical}"
+        if not parts:
+            parts.append(body if coef > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+@pytest.mark.parametrize("max_denominator", [1, 2, 9])
+@pytest.mark.parametrize("max_numerator", [1, 2, 9, 30])
+def test_str_matches_reference_renderer(max_numerator, max_denominator):
+    # 12 bounds × 1,700 draws: bare rational terms, a left-out 1, integer
+    # and parenthesized fractional magnitudes before each radical
+    rng = random.Random(RNG_SEED + 100 * max_numerator + max_denominator)
+    for _ in range(1700):
+        x = random_element(rng, max_numerator, max_denominator)
+        text = str(x)
+        assert text == _reference_str(x), x.coords
+        assert FieldElem.parse(text) == x, text
+
+
 def test_parse_roundtrip_random():
     rng = random.Random(RNG_SEED + 4)
     for _ in range(500):

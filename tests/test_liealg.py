@@ -423,6 +423,51 @@ def test_coeffvec_rendering():
     assert str(MVec.zero()) == "0"
 
 
+def _reference_vector_str(v):
+    """The vector renderer as written before it shared `signed_sum`."""
+    parts = []
+    for index, coeff in enumerate(v.coeffs, start=1):
+        if not coeff:
+            continue
+        sign = coeff.sign()
+        mag = coeff if sign >= 0 else -coeff
+        if mag == ONE:
+            body = f"e{index}"
+        elif not any(mag.coords[1:]) and mag.a.denominator == 1:
+            body = f"{mag}e{index}"
+        else:
+            body = f"({mag})e{index}"
+        if not parts:
+            parts.append(body if sign >= 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if sign >= 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+def _sparse_entry(rng):
+    kind = rng.randrange(6)
+    if kind < 2:
+        return ZERO
+    if kind == 2:
+        return FieldElem(rng.choice((-1, 1)))
+    if kind == 3:
+        return FieldElem(rng.randint(-30, 30))
+    if kind == 4:
+        return FieldElem(Fraction(rng.randint(-30, 30), rng.randint(2, 9)))
+    return random_element(rng, rng.choice((1, 2, 9)), rng.choice((1, 2, 9)))
+
+
+@pytest.mark.parametrize("cls", [MVec, FullVec])
+def test_vector_str_matches_reference_renderer(cls):
+    # entries zero, ±1, integer, fractional or irrational: an irrational
+    # magnitude is parenthesized before its unit, as a fractional one is
+    rng = random.Random(RNG_SEED + cls._LENGTH)
+    for _ in range(10_000):
+        v = cls([_sparse_entry(rng) for _ in range(cls._LENGTH)])
+        assert str(v) == _reference_vector_str(v), v.coeffs
+    assert str(MVec.basis(2) * -SQRT2 + MVec.basis(4) * 3) == "-(√2)e2 + 3e4"
+
+
 def test_vector_length_guard():
     with pytest.raises(ValueError):
         MVec([ONE] * 8)

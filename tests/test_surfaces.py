@@ -381,7 +381,7 @@ def test_f5_generators_commute():
 def test_certificates_all_ok():
     for fid in ALL_IDS:
         cert = certify(fid, samples=50, tol=1e-8, seed=1)
-        assert cert.ok, (fid, cert.to_dict())
+        assert cert.ok, (fid, cert)
         assert cert.totally_geodesic
 
 
@@ -426,6 +426,19 @@ def test_certificate_ok_compares_each_expected_fact(monkeypatch, change):
                if name != "examples.f1")
 
 
+def test_failing_certificate_witness_is_its_asdict(monkeypatch):
+    # the e1 + e3 plane is refused; the witness prints the whole record,
+    # the signature as the tuple the certificate holds
+    monkeypatch.setitem(FAMILIES, "f1", dataclasses.replace(FAMILIES["f1"],
+                                                            x=_e(1) + _e(3)))
+    cert = certify("f1", samples=5, seed=0)
+    assert not cert.ok
+    report = cli.run(cli.SuiteSpec("examples", samples=5))
+    witness = {r.name: r for r in report.checks}["examples.f1"].witness
+    assert witness == f"certificate failed: {dataclasses.asdict(cert)}"
+    assert "'induced_signature': (" in witness
+
+
 def test_exp_check_fails_on_a_nan_deviation(monkeypatch):
     # one NaN sample among finite ones must survive the running maximum
     calls = []
@@ -459,7 +472,7 @@ def test_certificate_signatures_and_curvatures():
 
 
 def test_certificate_dict_schema():
-    payload = certify("f1", samples=10, seed=0).to_dict()
+    payload = dataclasses.asdict(certify("f1", samples=10, seed=0))
     assert set(payload) == {"id", "totally_geodesic", "induced_signature",
                             "curvature", "orbit_algebra_dim", "exp_check"}
     assert set(payload["exp_check"]) == {"samples", "tol", "max_dev"}
