@@ -30,7 +30,7 @@ def case4_coords(epsilon, a, b) -> tuple:
     """The case 4 generator over (e₁, …, e₆): (a, 0, 1, 0, ½(a²+ε), b).
 
     Generic in the scalar type, so FieldElem and Fraction parameters share
-    this one definition of X.
+    this one definition of X; `pin_case4` writes λ times it in integers.
     """
     return (a, 0, 1, 0, (a * a + epsilon) * _HALF, b)
 
@@ -297,33 +297,36 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     The claimed point is irrational and goes through `tangency_test` over
     the field.  The grid is scaled to integers once, by λ = 2m² with m the
     lcm of the denominators of a_min, a_step, b_min and b_step, so that
-    λ·X = λ·(a, 0, 1, 0, ½(a²+ε), b) is integral in every cell.  Each minor
-    of [X | JX | V] is homogeneous of degree 5 in X, so X ↦ λX multiplies
-    it by λ⁵ ≠ 0 and keeps the verdict.  X is affine in b along a row of
-    fixed (ε, a), so there the first minor has degree ≤ 5 in λ·b: equal
-    nonzero values at six cells make it that constant, refuting the row,
-    and a row of at most six cells is probed whole.  Any other row sends
+    λ·X = λ·(a, 0, 1, 0, ½(a²+ε), b) is integral in every cell, and the
+    sweep writes it in integers, as (2m·A, 0, 2m², 0, A² + εm², λb) with
+    the integer A = m·a.  Each minor of [X | JX | V] is homogeneous of
+    degree 5 in X, so X ↦ λX multiplies it by λ⁵ ≠ 0 and keeps the
+    verdict.  X is affine in b along a row of fixed (ε, a), so there the
+    first minor has degree ≤ 5 in λ·b: equal nonzero values at six cells
+    make it that constant, refuting the row, and a row of at most six cells
+    is probed whole.  Any other row sends
     each cell to `_in_plane`.  On case-4 rows that minor is free of b,
     λ⁵·(−12a²(3a² + ε)).  A Fraction is built only to label a cell that
     passes.  Grid evidence, not a proof of uniqueness."""
     grid = grid or GridSpec()
     claimed = tangency_test(claimed_case4_point()).in_span
-    scale = 2 * math.lcm(grid.a_min.denominator, grid.a_step.denominator,
-                         grid.b_min.denominator, grid.b_step.denominator) ** 2
-    a_values = tuple(grid.a_values())
+    m = math.lcm(grid.a_min.denominator, grid.a_step.denominator,
+                 grid.b_min.denominator, grid.b_step.denominator)
+    scale = 2 * m * m
+    a_scaled = tuple(int(a * m) for a in grid.a_values())
     b_scaled = tuple(int(b * scale) for b in grid.b_values())
     unexpected: list[str] = []
     for epsilon in (-1, 1):
-        for a in a_values:
-            head = [int(c * scale) for c in case4_coords(epsilon, a, 0)[:5]]
+        for a in a_scaled:
+            head = (2 * m * a, 0, scale, 0, a * a + epsilon * m * m)
             probes = [next(_minors((*head, b))) for b in b_scaled[:6]]
             if all(probes) and (len(b_scaled) <= 6 or len(set(probes)) == 1):
                 continue  # the first minor refutes every cell of the row
             unexpected += [CaseCandidate(
-                4, epsilon=epsilon, a=FieldElem(a),
+                4, epsilon=epsilon, a=FieldElem(Fraction(a, m)),
                 b=FieldElem(Fraction(b, scale))).label()
                 for b in b_scaled if _in_plane((*head, b))]
-    cells = 2 * len(a_values) * len(b_scaled)
+    cells = 2 * len(a_scaled) * len(b_scaled)
     return PinReport(claimed, cells, tuple(unexpected), grid)
 
 

@@ -32,9 +32,6 @@ from .nkgeom import (F, J, J1, P, DegeneratePlaneError, curvature,
                      oracle_sign, sectional)
 from .surfaces import FAMILIES, SurfaceFamily, certify, generator
 
-SUITES = ("field", "algebra", "tensors", "curvature", "examples",
-          "classify", "all")
-
 _M_INDICES = range(1, 7)
 
 
@@ -99,9 +96,7 @@ class Report:
         payload = {
             "suite": self.suite,
             "seed": self.seed,
-            "checks": [{"name": r.name, "status": r.status,
-                        "anchor": r.anchor, "witness": r.witness}
-                       for r in self.checks],
+            "checks": [asdict(record) for record in self.checks],
             "totals": self.totals,
             "elapsed_ms": self.elapsed_ms,
         }
@@ -500,14 +495,13 @@ _SUITE_BUILDERS: dict[str, Callable[[SuiteSpec], list[Check]]] = {
     "examples": _examples_checks,
     "classify": _classify_checks,
 }
+SUITES = (*_SUITE_BUILDERS, "all")
 
 
 def build_checks(spec: SuiteSpec) -> list[Check]:
     if spec.suite == "all":
-        checks: list[Check] = []
-        for name in SUITES[:-1]:
-            checks.extend(_SUITE_BUILDERS[name](spec))
-        return checks
+        return [check for builder in _SUITE_BUILDERS.values()
+                for check in builder(spec)]
     return _SUITE_BUILDERS[spec.suite](spec)
 
 
@@ -526,12 +520,6 @@ def run(spec: SuiteSpec) -> Report:
     records.sort(key=lambda record: record.name)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     return Report(spec.suite, spec.seed, tuple(records), elapsed_ms)
-
-
-def emit(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    return report.to_text()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -563,7 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     report = run(spec)
-    payload = emit(report, args.format)
+    payload = report.to_json() if args.format == "json" else report.to_text()
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -15,13 +15,9 @@ Row = list[FieldElem]
 Matrix = list[Row]
 
 
-def _copy(rows: Sequence[Sequence[FieldElem]]) -> Matrix:
-    return [list(row) for row in rows]
-
-
 def echelon(rows: Sequence[Sequence[FieldElem]]) -> tuple[Matrix, list[int]]:
     """Row echelon form and the list of pivot column indices."""
-    mat = _copy(rows)
+    mat = [list(row) for row in rows]
     if not mat:
         return mat, []
     ncols = len(mat[0])

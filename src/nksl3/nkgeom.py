@@ -19,6 +19,7 @@ J₁ and J, not written out.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -30,20 +31,15 @@ class DegeneratePlaneError(ValueError):
     """Sectional curvature was requested on a plane with zero discriminant."""
 
 
+@dataclass(frozen=True, slots=True)
 class InvariantTensor:
     """A linear operator on the tangent space that sends each basis vector
     to ± a basis vector or to 0, stored as a signed permutation: row i is
     the pair (source, sign) with (TX)ᵢ = sign·X_source, sign 0 on a row the
     operator kills."""
 
-    __slots__ = ("name", "rows")
-
-    def __init__(self, name: str, rows: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("InvariantTensor is immutable")
+    name: str
+    rows: tuple[tuple[int, int], ...]
 
     def act(self, v) -> list:
         """TX for a 6-sequence X over any commutative ring (int, FieldElem)."""
@@ -52,14 +48,11 @@ class InvariantTensor:
     def apply(self, x: MVec) -> MVec:
         return MVec._raw(tuple(self.act(x.coeffs)))
 
-    def compose(self, other: "InvariantTensor", name: str | None = None) -> "InvariantTensor":
+    def compose(self, other: "InvariantTensor", name: str) -> "InvariantTensor":
         # Row i of T∘S is the row of S that T's row i reads, signs multiplied.
         rows = tuple((other.rows[source][0], sign * other.rows[source][1])
                      for source, sign in self.rows)
-        return InvariantTensor(name or f"{self.name}{other.name}", rows)
-
-    def __repr__(self) -> str:
-        return f"InvariantTensor({self.name})"
+        return InvariantTensor(name, rows)
 
 
 def _from_images(name: str, images: dict[int, tuple[int, int]]) -> InvariantTensor:
@@ -83,7 +76,7 @@ def _complex_structure(name: str, images: dict[int, tuple[int, int]]) -> Invaria
 J = _complex_structure("J", {1: (2, -1), 3: (4, 1), 5: (6, 1)})
 J1 = _complex_structure("J1", {1: (2, 1), 3: (4, 1), 5: (6, 1)})
 F = _from_images("F", {3: (4, 1), 4: (3, -1), 5: (6, -1), 6: (5, 1)})
-P = J1.compose(J, name="J1J")
+P = J1.compose(J, "J1J")
 
 
 _HALF = FieldElem(Fraction(1, 2))

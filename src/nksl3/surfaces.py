@@ -45,13 +45,6 @@ class SurfaceFamily:
     v_range: tuple[float, float]
 
 
-def _mvec(*pairs: tuple[int, FieldElem | int | Fraction]) -> MVec:
-    coeffs: list[FieldElem | int | Fraction] = [0] * 6
-    for index, value in pairs:
-        coeffs[index - 1] = value
-    return MVec(coeffs)
-
-
 def _closed_f1(u: float, v: float) -> FloatMat:
     ch, sh = math.cosh(u), math.sinh(u)
     return [
@@ -104,47 +97,37 @@ def _closed_f5(u: float, v: float) -> FloatMat:
     return [[1.0, 0.0, u], [0.0, 1.0, v], [0.0, 0.0, 1.0]]
 
 
-def _build_families() -> dict[str, SurfaceFamily]:
-    inv_sqrt2 = SQRT2 * _HALF
-    inv_sqrt3 = SQRT3 * Fraction(1, 3)
-    third = Fraction(1, 3)
-
-    x1 = _mvec((1, 1))
-    x2 = _mvec((3, inv_sqrt2), (5, inv_sqrt2))
-    x3 = _mvec((3, inv_sqrt2), (5, -inv_sqrt2))
-    x4 = _mvec((1, inv_sqrt3), (3, 1), (5, -third))
-    x5 = _mvec((3, 1))
-
-    two_pi = 2.0 * math.pi
-
-    def polar(u: float, v: float) -> tuple[float, float]:
-        return 2.0 * u * math.cos(v), 2.0 * u * math.sin(v)
-
-    families = [
-        # JX = −e₂: the closed form's cos v·e₁ + sin v·e₂ is cos v·X − sin v·JX
-        SurfaceFamily(
-            "f1", "SL(2,R)", 3, x1, (0, 2, 0), FieldElem(4), _closed_f1,
-            lambda u, v: (u * math.cos(v), -u * math.sin(v)),
-            (-2.0, 2.0), (0.0, two_pi)),
-        SurfaceFamily("f2", "SO(3)", 3, x2, (2, 0, 0), FieldElem(1),
-                      _closed_f2, polar, (-2.0, 2.0), (0.0, two_pi)),
-        SurfaceFamily("f3", "SO+(2,1)", 3, x3, (0, 2, 0), FieldElem(1),
-                      _closed_f3, polar, (-2.0, 2.0), (0.0, two_pi)),
-        # The f4 closed form's u-derivative at the origin is X/√3, not X:
-        # its u coordinate runs along X/√3 (same span, same surface).
-        SurfaceFamily(
-            "f4", "R2", 2, x4, (0, 2, 0), FieldElem(0), _closed_f4,
-            lambda u, v: (u / math.sqrt(3.0), v), (-2.0, 2.0), (-2.0, 2.0)),
-        # X = e₃ and JX = e₄ are √2 times the matrix units E₁₃ and E₂₃
-        SurfaceFamily(
-            "f5", "R2-degenerate", 2, x5, (0, 0, 2), None, _closed_f5,
-            lambda u, v: (u / math.sqrt(2.0), v / math.sqrt(2.0)),
-            (-3.0, 3.0), (-3.0, 3.0)),
-    ]
-    return {family.id: family for family in families}
+def _polar(u: float, v: float) -> tuple[float, float]:
+    return 2.0 * u * math.cos(v), 2.0 * u * math.sin(v)
 
 
-FAMILIES: dict[str, SurfaceFamily] = _build_families()
+_INV_SQRT2 = SQRT2 * _HALF
+_TWO_PI = 2.0 * math.pi
+
+FAMILIES: dict[str, SurfaceFamily] = {family.id: family for family in (
+    # JX = −e₂: the closed form's cos v·e₁ + sin v·e₂ is cos v·X − sin v·JX
+    SurfaceFamily(
+        "f1", "SL(2,R)", 3, MVec((1, 0, 0, 0, 0, 0)), (0, 2, 0), FieldElem(4),
+        _closed_f1, lambda u, v: (u * math.cos(v), -u * math.sin(v)),
+        (-2.0, 2.0), (0.0, _TWO_PI)),
+    SurfaceFamily(
+        "f2", "SO(3)", 3, MVec((0, 0, _INV_SQRT2, 0, _INV_SQRT2, 0)), (2, 0, 0),
+        FieldElem(1), _closed_f2, _polar, (-2.0, 2.0), (0.0, _TWO_PI)),
+    SurfaceFamily(
+        "f3", "SO+(2,1)", 3, MVec((0, 0, _INV_SQRT2, 0, -_INV_SQRT2, 0)), (0, 2, 0),
+        FieldElem(1), _closed_f3, _polar, (-2.0, 2.0), (0.0, _TWO_PI)),
+    # The f4 closed form's u-derivative at the origin is X/√3, not X:
+    # its u coordinate runs along X/√3 (same span, same surface).
+    SurfaceFamily(
+        "f4", "R2", 2, MVec((SQRT3 * Fraction(1, 3), 0, 1, 0, Fraction(-1, 3), 0)),
+        (0, 2, 0), FieldElem(0), _closed_f4,
+        lambda u, v: (u / math.sqrt(3.0), v), (-2.0, 2.0), (-2.0, 2.0)),
+    # X = e₃ and JX = e₄ are √2 times the matrix units E₁₃ and E₂₃
+    SurfaceFamily(
+        "f5", "R2-degenerate", 2, MVec((0, 0, 1, 0, 0, 0)), (0, 0, 2), None,
+        _closed_f5, lambda u, v: (u / math.sqrt(2.0), v / math.sqrt(2.0)),
+        (-3.0, 3.0), (-3.0, 3.0)),
+)}
 
 
 def family(fid: str) -> SurfaceFamily:
@@ -157,10 +140,6 @@ def family(fid: str) -> SurfaceFamily:
 def generator(fid: str) -> tuple[MVec, MVec]:
     x = family(fid).x
     return x, J.apply(x)
-
-
-def closed_form(fid: str, u: float, v: float) -> FloatMat:
-    return family(fid).closed_form(u, v)
 
 
 def expm(a: FloatMat) -> FloatMat:

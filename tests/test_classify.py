@@ -305,6 +305,16 @@ def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
     for x in calls:
         assert all(type(c) is int for c in x)
         assert tuple(x) in scaled
+    # each row (ε, a) probes its first six cells, then sends every cell to
+    # the kernel: the calls follow that order, each cell scaled from its own
+    # row's ε and a
+    expected = []
+    for epsilon in (-1, 1):
+        for a in grid.a_values():
+            row = [tuple(scale * c for c in case4_coords(epsilon, a, b))
+                   for b in grid.b_values()]
+            expected += row[:6] + row
+    assert [tuple(x) for x in calls] == expected
     assert report.unexpected_passes == tuple(
         CaseCandidate(4, epsilon=epsilon, a=FieldElem(a),
                       b=FieldElem(b)).label()

@@ -3,10 +3,12 @@ and process exit codes."""
 
 import dataclasses
 import errno
+import importlib
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import random
 import re
 import subprocess
@@ -15,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 
+import nksl3
 from nksl3 import classify, cli, exactfield, liealg, nkgeom, surfaces
 from nksl3.exactfield import ONE, FieldElem
 from nksl3.liealg import MVec
@@ -139,7 +142,7 @@ def test_certificate_witness_is_not_a_format_template():
 
 def test_json_schema():
     report = cli.run(_spec("field", seed=5))
-    payload = json.loads(cli.emit(report, "json"))
+    payload = json.loads(report.to_json())
     assert list(payload) == ["suite", "seed", "checks", "totals",
                              "elapsed_ms"]
     assert payload["suite"] == "field"
@@ -153,7 +156,7 @@ def test_json_deterministic_modulo_elapsed():
     blobs = []
     for _ in range(2):
         report = cli.run(_spec("examples", seed=3))
-        payload = json.loads(cli.emit(report, "json"))
+        payload = json.loads(report.to_json())
         payload.pop("elapsed_ms")
         blobs.append(json.dumps(payload, sort_keys=True))
     assert blobs[0] == blobs[1]
@@ -161,7 +164,7 @@ def test_json_deterministic_modulo_elapsed():
 
 def test_empty_report_is_valid_json():
     report = cli.Report("field", 0, (), 0)
-    payload = json.loads(cli.emit(report, "json"))
+    payload = json.loads(report.to_json())
     assert payload["checks"] == []
     assert payload["totals"] == {"pass": 0, "fail": 0, "total": 0}
     assert report.passed  # vacuously green
@@ -169,7 +172,7 @@ def test_empty_report_is_valid_json():
 
 def test_text_format_shape():
     report = cli.run(_spec("tensors"))
-    text = cli.emit(report, "text")
+    text = report.to_text()
     lines = text.strip().split("\n")
     assert len(lines) == len(report.checks) + 1
     assert lines[-1].startswith("PASS")
@@ -338,6 +341,27 @@ def test_oracle_agreement_fails_when_routes_disagree(monkeypatch):
 
 
 _TABLE_CACHES = (nkgeom.curvature_table, classify.tangency_form)
+
+
+def test_the_cached_functions_are_the_five_tables():
+    # a second cache derived from `_bracket_terms` or `curvature_table`
+    # would go stale when a test patches its source table and clears only
+    # the caches above; `classify` re-imports `curvature_table`, so each
+    # cache is named by where it is defined
+    cached = set()
+    for info in pkgutil.iter_modules(nksl3.__path__):
+        module = importlib.import_module(f"nksl3.{info.name}")
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else ()
+            for obj in (value, *members):
+                if (hasattr(obj, "cache_clear")
+                        and obj.__module__.startswith("nksl3.")):
+                    cached.add((obj.__module__, obj.__qualname__))
+    assert cached == {("nksl3.liealg", "_metric_rows"),
+                      ("nksl3.liealg", "_dual"),
+                      ("nksl3.liealg", "_bracket_terms"),
+                      ("nksl3.nkgeom", "curvature_table"),
+                      ("nksl3.classify", "tangency_form")}
 
 
 def _curvature_records_with(monkeypatch, name, value, module=nkgeom):

@@ -62,6 +62,15 @@ def test_product_is_block_involution():
         assert P.apply(P.apply(e)) == e
 
 
+def test_tensors_are_immutable():
+    with pytest.raises(AttributeError):
+        J.rows = J1.rows
+    with pytest.raises(AttributeError):
+        J.name = "J1"
+    assert J.name == "J" and J.rows != J1.rows
+    assert J1.compose(J, "J1J").rows == P.rows
+
+
 def test_f_cubed_plus_f_vanishes():
     rng = random.Random(RNG_SEED)
     for i in M_INDICES:

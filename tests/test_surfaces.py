@@ -17,8 +17,8 @@ from nksl3.liealg import (MVec, bracket, coeff_bracket, metric,
                           stabilizer_element)
 from nksl3.nkgeom import J
 from nksl3.surfaces import (FAMILIES, Certificate, DegenerateSpanError,
-                            _generated_basis, certify, closed_form,
-                            coset_deviation, exp_check, expm, family,
+                            _generated_basis, certify, coset_deviation,
+                            exp_check, expm, family,
                             generated_algebra_dimension, generator, sff)
 
 RNG_SEED = 5
@@ -70,19 +70,20 @@ def test_generator_norms():
 
 def test_closed_forms_at_origin():
     for fid in ALL_IDS:
-        assert np.allclose(closed_form(fid, 0.0, 0.0), np.eye(3), atol=1e-15)
+        assert np.allclose(FAMILIES[fid].closed_form(0.0, 0.0), np.eye(3),
+                           atol=1e-15)
 
 
 def test_closed_form_spot_values():
     # f1 along v = 0 is the split one-parameter group diag(e^u, e^-u, 1)
-    m = closed_form("f1", 0.7, 0.0)
+    m = FAMILIES["f1"].closed_form(0.7, 0.0)
     assert np.allclose(m, np.diag([math.exp(0.7), math.exp(-0.7), 1.0]),
                        atol=1e-12)
     # f2 at (pi/2, 0) is the 180-degree rotation diag(-1, 1, -1)
-    m = closed_form("f2", math.pi / 2, 0.0)
+    m = FAMILIES["f2"].closed_form(math.pi / 2, 0.0)
     assert np.allclose(m, np.diag([-1.0, 1.0, -1.0]), atol=1e-12)
     # f5 is the unitriangular sheet
-    m = closed_form("f5", 1.25, -0.5)
+    m = FAMILIES["f5"].closed_form(1.25, -0.5)
     assert np.array_equal(m, np.array([[1.0, 0.0, 1.25],
                                        [0.0, 1.0, -0.5],
                                        [0.0, 0.0, 1.0]]))
@@ -95,14 +96,15 @@ def test_closed_forms_land_in_special_linear_group():
         for _ in range(25):
             u = rng.uniform(*fam.u_range)
             v = rng.uniform(*fam.v_range)
-            assert abs(np.linalg.det(closed_form(fid, u, v)) - 1.0) < 1e-9, fid
+            det = np.linalg.det(fam.closed_form(u, v))
+            assert abs(det - 1.0) < 1e-9, fid
 
 
 def test_f2_points_are_orthogonal():
     rng = random.Random(RNG_SEED + 1)
     for _ in range(25):
-        m = np.array(closed_form("f2", rng.uniform(-2, 2),
-                                 rng.uniform(0, 2 * math.pi)))
+        m = np.array(FAMILIES["f2"].closed_form(rng.uniform(-2, 2),
+                                               rng.uniform(0, 2 * math.pi)))
         assert np.max(np.abs(m.T @ m - np.eye(3))) < 1e-12
 
 
@@ -110,8 +112,8 @@ def test_f3_points_preserve_lorentz_form():
     eta = np.diag([1.0, 1.0, -1.0])
     rng = random.Random(RNG_SEED + 2)
     for _ in range(25):
-        m = np.array(closed_form("f3", rng.uniform(-2, 2),
-                                 rng.uniform(0, 2 * math.pi)))
+        m = np.array(FAMILIES["f3"].closed_form(rng.uniform(-2, 2),
+                                               rng.uniform(0, 2 * math.pi)))
         assert np.max(np.abs(m @ eta @ m.T - eta)) < 1e-9
         assert m[2, 2] >= 1.0 - 1e-12  # orthochronous sheet
 
@@ -119,8 +121,8 @@ def test_f3_points_preserve_lorentz_form():
 def test_f1_fixes_third_coordinate():
     rng = random.Random(RNG_SEED + 3)
     for _ in range(25):
-        m = np.array(closed_form("f1", rng.uniform(-2, 2),
-                                 rng.uniform(0, 2 * math.pi)))
+        m = np.array(FAMILIES["f1"].closed_form(rng.uniform(-2, 2),
+                                               rng.uniform(0, 2 * math.pi)))
         assert np.allclose(m[2], [0.0, 0.0, 1.0], atol=1e-15)
         assert np.allclose(m[:, 2], [0.0, 0.0, 1.0], atol=1e-15)
 
@@ -203,7 +205,7 @@ def test_expm_is_bitwise_the_reference_series(monkeypatch):
 
 
 def test_coset_deviation_compares_matrices():
-    base = np.array(closed_form("f1", 0.6, 1.1))
+    base = np.array(FAMILIES["f1"].closed_form(0.6, 1.1))
     shifted = base @ np.array(stabilizer_element(-0.3, -0.7))
     assert coset_deviation(base, base) == 0.0
     assert coset_deviation(shifted, base @ np.diag([2.0, 1.0, 0.5])) > 1e-3
