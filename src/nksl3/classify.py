@@ -148,17 +148,19 @@ def tangency_test(candidate: CaseCandidate) -> SpanDecision:
 
 
 @cache
-def tangency_form() -> tuple[tuple[int, int, int, int, int], ...]:
-    """V = D·R(X, JX)JX as a cubic form: terms (l, p, q, r, c), p ≤ q ≤ r,
-    with Vₗ = Σ c·xₚ·x_q·xᵣ.  JX is the signed permutation `J.rows` of X, so
-    `curvature_table` entry (i, j, k, l, t) folds onto xᵢ·x_src(j)·x_src(k)
-    with coefficient t·sign(j)·sign(k); like terms summed, zeros dropped."""
+def tangency_form() -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """V = D·R(X, JX)JX as a cubic form in rows: row l holds the terms
+    (p, q, r, c), p ≤ q ≤ r, of Vₗ = Σ c·xₚ·x_q·xᵣ.  JX is the signed
+    permutation `J.rows` of X, so `curvature_table` entry (i, j, k, l, t)
+    folds onto xᵢ·x_src(j)·x_src(k) with coefficient t·sign(j)·sign(k); like
+    terms summed, zeros dropped."""
     terms: dict[tuple[int, ...], int] = {}
     for i, j, k, l, t in curvature_table()[1]:
         (src_j, sign_j), (src_k, sign_k) = J.rows[j], J.rows[k]
         key = (l, *sorted((i, src_j, src_k)))
         terms[key] = terms.get(key, 0) + t * sign_j * sign_k
-    return tuple((*key, c) for key, c in sorted(terms.items()) if c)
+    return tuple(tuple((p, q, r, c) for (m, p, q, r), c in sorted(terms.items())
+                       if c and m == l) for l in range(6))
 
 
 _ROW_TRIPLES = tuple(itertools.combinations(range(6), 3))
@@ -167,13 +169,16 @@ _ROW_TRIPLES = tuple(itertools.combinations(range(6), 3))
 def _minors(x) -> Iterator:
     """The twenty 3×3 minors of [X | JX | V], lazily, rows e₁e₂e₃ first, for
     a nonzero X over any commutative ring (int, FieldElem): JX is `J.act(x)`
-    and V = D·R(X, JX)JX is `tangency_form` at X.  Only +, − and ×; no type
-    checks, no scaling."""
-    jx = J.act(x)
-    v = [0] * 6
-    for l, p, q, r, c in tangency_form():
-        v[l] += c * x[p] * x[q] * x[r]
+    and V = D·R(X, JX)JX is `tangency_form` at X, read row by row as far as
+    the current minor needs.  Only +, − and ×; no type checks, no scaling."""
+    jx, form = J.act(x), tangency_form()
+    v = []
     for r, s, t in _ROW_TRIPLES:
+        while len(v) <= t:
+            acc = 0
+            for i, j, k, c in form[len(v)]:
+                acc += c * x[i] * x[j] * x[k]
+            v.append(acc)
         yield (x[r] * (jx[s] * v[t] - jx[t] * v[s])
                - x[s] * (jx[r] * v[t] - jx[t] * v[r])
                + x[t] * (jx[r] * v[s] - jx[s] * v[r]))
@@ -298,23 +303,25 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     the field.  The grid is scaled to integers once, by λ = 2m² with m the
     lcm of the denominators of a_min, a_step, b_min and b_step, so that
     λ·X = λ·(a, 0, 1, 0, ½(a²+ε), b) is integral in every cell, and the
-    sweep writes it in integers, as (2m·A, 0, 2m², 0, A² + εm², λb) with
-    the integer A = m·a.  Each minor of [X | JX | V] is homogeneous of
-    degree 5 in X, so X ↦ λX multiplies it by λ⁵ ≠ 0 and keeps the
-    verdict.  X is affine in b along a row of fixed (ε, a), so there the
-    first minor has degree ≤ 5 in λ·b: equal nonzero values at six cells
-    make it that constant, refuting the row, and a row of at most six cells
-    is probed whole.  Any other row sends
-    each cell to `_in_plane`.  On case-4 rows that minor is free of b,
-    λ⁵·(−12a²(3a² + ε)).  A Fraction is built only to label a cell that
+    sweep writes it in integers, as (2m·A, 0, 2m², 0, A² + εm², λb), A = m·a
+    and λb each stepped in integers.  Each minor of [X | JX | V] is
+    homogeneous of degree 5 in X, so X ↦ λX multiplies it by λ⁵ ≠ 0 and
+    keeps the verdict.  X is affine in b along a row of fixed (ε, a), so
+    there the first minor has degree ≤ 5 in λ·b: equal nonzero values at six
+    cells make it that constant, refuting the row, and a row of at most six
+    cells is probed whole.  Any other row sends each cell to `_in_plane`.
+    On case-4 rows that minor is free of b, λ⁵·(−12a²(3a² + ε)).  A Fraction is built only to label a cell that
     passes.  Grid evidence, not a proof of uniqueness."""
     grid = grid or GridSpec()
     claimed = tangency_test(claimed_case4_point()).in_span
     m = math.lcm(grid.a_min.denominator, grid.a_step.denominator,
                  grid.b_min.denominator, grid.b_step.denominator)
     scale = 2 * m * m
-    a_scaled = tuple(int(a * m) for a in grid.a_values())
-    b_scaled = tuple(int(b * scale) for b in grid.b_values())
+    a_steps, b_steps = grid._steps()
+    a0, da = int(grid.a_min * m), int(grid.a_step * m)
+    b0, db = int(grid.b_min * scale), int(grid.b_step * scale)
+    a_scaled = tuple(a0 + k * da for k in a_steps)
+    b_scaled = tuple(b0 + k * db for k in b_steps)
     unexpected: list[str] = []
     for epsilon in (-1, 1):
         for a in a_scaled:

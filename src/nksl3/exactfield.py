@@ -138,7 +138,7 @@ class FieldElem:
 
     def __neg__(self) -> "FieldElem":
         a, b, c, d, q = self._v
-        return _reduced(-a, -b, -c, -d, q)
+        return _reduced(-a, -b, -c, -d, q) if a or b or c or d else self
 
     def __add__(self, other: object) -> "FieldElem":
         if type(other) is not FieldElem:
@@ -165,6 +165,8 @@ class FieldElem:
                 return NotImplemented
         a1, b1, c1, d1, q1 = self._v
         a2, b2, c2, d2, q2 = other._v
+        if not (a2 or b2 or c2 or d2):
+            return self
         if q1 == q2:
             return _reduced(a1 - a2, b1 - b2, c1 - c2, d1 - d2, q1)
         return _reduced(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1,
@@ -185,7 +187,7 @@ class FieldElem:
         a2, b2, c2, d2, q2 = other._v
         # Reduced, a rational 1 is (1, 0, 0, 0, 1) and 0 is (0, 0, 0, 0, 1).
         if not (b2 or c2 or d2):
-            if a2 == q2 or not a2:
+            if a2 == q2 or not (a2 and (a1 or b1 or c1 or d1)):
                 return self if a2 else ZERO
             return _reduced(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q1 * q2)
         if not (b1 or c1 or d1):
@@ -230,24 +232,20 @@ class FieldElem:
         return result
 
     def inv(self) -> "FieldElem":
-        """Exact inverse, via the product of the three nontrivial conjugates.
-
-        x·σ(x)·τ(x)·στ(x) is fixed by the whole conjugation group, hence
-        rational, so the inverse is that rational's reciprocal times the
-        conjugate product.
-        """
+        """Exact inverse through the tower Q ⊂ Q(√2) ⊂ Q(√2, √3): write
+        q·x = u + v√3 with u, v in Z[√2] and w = u² − 3v² = w₀ + w₁√2; then
+        1/x = q·(u − v√3)·w̄ / (w·w̄), with w̄ = w₀ − w₁√2 and the norm
+        w·w̄ = w₀² − 2w₁² a nonzero int."""
         if not self:
             raise ZeroDivisionError("inverse of the zero field element")
         a, b, c, d, q = self._v
-        t = (_reduced(a, -b, c, -d, q) * _reduced(a, b, -c, -d, q)
-             * _reduced(a, -b, -c, d, q))
-        na, nb, nc, nd, nq = (self * t)._v
-        if nb or nc or nd:
-            raise ArithmeticError(f"the conjugate norm of {self} is not rational")
-        if na < 0:
-            na, nq = -na, -nq
-        ta, tb, tc, td, tq = t._v
-        return _reduced(ta * nq, tb * nq, tc * nq, td * nq, tq * na)
+        w0 = a * a + 2 * b * b - 3 * (c * c + 2 * d * d)
+        w1 = 2 * (a * b - 3 * c * d)
+        norm = w0 * w0 - 2 * w1 * w1
+        if norm < 0:
+            q, norm = -q, -norm
+        return _reduced(q * (a * w0 - 2 * b * w1), q * (b * w0 - a * w1),
+                        q * (2 * d * w1 - c * w0), q * (c * w1 - d * w0), norm)
 
     def sign(self) -> int:
         """Exact sign in the real embedding with √2, √3 > 0."""
@@ -275,17 +273,18 @@ class FieldElem:
     __float__ = to_float
 
     def __str__(self) -> str:
-        return signed_sum((coef < 0, str(abs(coef)), radical)
-                          for coef, radical in zip(self.coords, ("", "√2", "√3", "√6"))
-                          if coef)
+        *nums, q = self._v   # each n/q in lowest terms by one gcd, "/1" dropped
+        return signed_sum((n < 0, f"{abs(n) // g}/{q // g}".removesuffix("/1"), radical)
+                          for n, radical in zip(nums, ("", "√2", "√3", "√6"))
+                          if n and (g := math.gcd(n, q)))
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
 
     @classmethod
     def parse(cls, text: str) -> "FieldElem":
-        """Parse the rendering produced by str(): terms p/q, n√2, (p/q)√3, ..."""
-        coords = {"": Fraction(0), "2": Fraction(0), "3": Fraction(0), "6": Fraction(0)}
+        """Parse the rendering produced by str(), terms p/q, n√2, (p/q)√3, ..., in ints."""
+        nums, q = {"": 0, "2": 0, "3": 0, "6": 0}, 1
         pos = 0
         first = True
         stripped = text.strip()
@@ -300,14 +299,14 @@ class FieldElem:
                 raise ValueError(f"cannot parse field element: {text!r}")
             if not first and not sign_txt:
                 raise ValueError(f"missing sign between terms: {text!r}")
-            coef = Fraction(paren if paren is not None else plain) \
-                if (paren is not None or plain is not None) else Fraction(1)
-            if sign_txt == "-":
-                coef = -coef
-            coords[radical or ""] += coef
+            top, _, bottom = (paren or plain or "1").partition("/")
+            p, r = int(top), int(bottom or 1)
+            if r != 1:
+                nums, q = {key: n * r for key, n in nums.items()}, q * r
+            nums[radical or ""] += (-p if sign_txt == "-" else p) * (q // r)
             pos = match.end()
             first = False
-        return cls(coords[""], coords["2"], coords["3"], coords["6"])
+        return _reduced(nums[""], nums["2"], nums["3"], nums["6"], q)
 
 
 # A denominator needs a nonzero digit, so "1/0" is refused like any other

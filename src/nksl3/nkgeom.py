@@ -121,17 +121,30 @@ def _five_term(x, y, z) -> tuple:
     return tuple(sum([s * v[l] for s, v in scaled]) for l in range(6))
 
 
+_BASE = 1 << 8
+_PACKED = tuple(_BASE ** k for k in range(6))
+_LIFT = sum(_PACKED) * (_BASE // 4)
+
+
 @cache
 def curvature_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
     """The curvature tensor in integers, built once, on first use: (D, entries),
     each entry (i, j, k, l, t) saying R(eᵢ₊₁, eⱼ₊₁)eₖ₊₁ has eₗ₊₁ coefficient
-    t/D.  `_five_term` on the 216 integer basis triples, which by
-    trilinearity determine the whole tensor."""
+    t/D.  `_five_term` is linear in Z, so at Z = (1, B, …, B⁵), B = 256, each
+    of the 36 integer basis pairs (i, j) packs t over k into the six bytes of
+    coordinate l, each lifted by B/4 to read unsigned.  A digit |t| ≥ B/4, or
+    a carry past the sixth (`to_bytes` refuses it), could be an overflow and
+    raises OverflowError (|t| ≤ 16 here)."""
     units = [tuple(int(m == n) for m in range(6)) for n in range(6)]
-    return _D, tuple((i, j, k, l, t)
-                     for i, j, k in itertools.product(range(6), repeat=3)
-                     for l, t in enumerate(_five_term(units[i], units[j], units[k]))
-                     if t)
+    zero, entries = _BASE // 4, []
+    for i, j in itertools.product(range(6), repeat=2):
+        columns = [(n + _LIFT).to_bytes(6, "little")
+                   for n in _five_term(units[i], units[j], _PACKED)]
+        if max(map(max, columns)) >= _BASE // 2:
+            raise OverflowError("a curvature value overflows its packed digit")
+        entries += [(i, j, k, l, column[k] - zero) for k in range(6)
+                    for l, column in enumerate(columns) if column[k] != zero]
+    return _D, tuple(entries)
 
 
 def curvature(x: MVec, y: MVec, z: MVec) -> MVec:

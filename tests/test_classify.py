@@ -465,19 +465,39 @@ def test_curvature_table_reproduces_curvature_on_basis_triples():
 
 
 def _form_value(coords):
-    v = [0] * 6
-    for l, p, q, r, c in tangency_form():
-        v[l] += c * coords[p] * coords[q] * coords[r]
-    return v
+    return [sum(c * coords[p] * coords[q] * coords[r] for p, q, r, c in row)
+            for row in tangency_form()]
 
 
 def test_tangency_form_is_the_folded_table():
-    form = tangency_form()
+    rows = tangency_form()
+    assert len(rows) == 6
+    form = [(l, *term) for l, row in enumerate(rows) for term in row]
     assert len(form) == 28
     assert all(c for *_, c in form)
     keys = [(l, p, q, r) for l, p, q, r, _ in form]
     assert len(set(keys)) == len(keys)
     assert all(p <= q <= r for _, p, q, r in keys)
+
+
+class _Unread:
+    """A form row that raises when the kernel reads it."""
+
+    def __iter__(self):
+        raise RuntimeError("a minor read a row past e3")
+
+
+def test_first_minor_reads_only_the_first_three_rows(monkeypatch):
+    # the first minor (rows e1e2e3) of a case-4 probe refutes it from
+    # V1, V2, V3 alone: 13 of the 28 terms
+    rows = tangency_form()
+    assert sum(len(row) for row in rows[:3]) == 13
+    monkeypatch.setattr(classify, "tangency_form",
+                        lambda: rows[:3] + (_Unread(),) * 3)
+    x = tuple(2 * c for c in case4_coords(1, 2, -3))   # (4, 0, 2, 0, 5, -6)
+    assert next(classify._minors(x)) == -12 * 4 * 13 * 2 ** 5
+    with pytest.raises(RuntimeError, match="past e3"):
+        list(classify._minors(x))
 
 
 def test_tangency_form_equals_scaled_curvature():

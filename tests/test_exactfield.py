@@ -406,6 +406,30 @@ def test_inverse_has_positive_denominator():
         assert x * x.inv() == ONE
 
 
+def _conjugate_product_inverse(x):
+    # the route before the tower: 1/x = t / (x·t) with t the product of
+    # the three nontrivial conjugates, over the integer numerators
+    a, b, c, d, q = x._v
+    t = _ref_mul(_ref_mul((a, -b, c, -d), (a, b, -c, -d)), (a, -b, -c, d))
+    norm, *rest = _ref_mul((a, b, c, d), t)
+    assert not any(rest)
+    return FieldElem(*(Fraction(q * p, norm) for p in t))
+
+
+def test_tower_inverse_matches_the_conjugate_product():
+    # every pattern of nonzero coordinates, then seeded draws
+    patterns = [FieldElem(*(Fraction((-1) ** k * (k + 2), k + 3) if mask >> k & 1 else 0
+                            for k in range(4)))
+                for mask in range(1, 16)]
+    rng = random.Random(RNG_SEED + 30)
+    draws = [random_element(rng, bound, bound, nonzero=True)
+             for bound in (1, 2, 9, 1000) for _ in range(5000)]
+    for x in patterns + draws:
+        inverse = x.inv()
+        _assert_reduced(inverse)
+        assert inverse == _conjugate_product_inverse(x), x
+
+
 def test_hash_agrees_with_equal_rationals():
     for value in (0, 1, -1, -2, 7, 10 ** 30, Fraction(1, 2), Fraction(-5, 7),
                   Fraction(10 ** 20 + 1, 3)):

@@ -318,7 +318,7 @@ def test_contraction_matches_five_term_random_dense():
         assert _five_term(x.coeffs, y.coeffs, z.coeffs) == _scaled(curvature(x, y, z))
 
 
-def test_five_term_runs_once_per_basis_triple(tmp_path, monkeypatch):
+def test_five_term_runs_once_per_basis_pair(tmp_path, monkeypatch):
     calls = []
 
     def counted(x, y, z):
@@ -330,4 +330,33 @@ def test_five_term_runs_once_per_basis_triple(tmp_path, monkeypatch):
     code = cli.main(["all", "--format", "json",
                      "--out", str(tmp_path / "all.json")])
     assert code == 0
-    assert len(calls) == len(set(calls)) == 216
+    assert len(calls) == len(set(calls)) == 36
+    assert len({(x, y) for x, y, _ in calls}) == 36
+
+
+def test_packed_table_equals_the_basis_triples():
+    # the reference: `_five_term` on each of the 216 integer basis triples,
+    # one column k at a time
+    units = [tuple(int(m == n) for m in range(6)) for n in range(6)]
+    direct = tuple((i, j, k, l, t)
+                   for i, j, k in itertools.product(range(6), repeat=3)
+                   for l, t in enumerate(_five_term(units[i], units[j], units[k]))
+                   if t)
+    assert nkgeom.curvature_table() == (4, direct)
+
+
+@pytest.mark.parametrize("excess", [nkgeom._BASE // 4, nkgeom._BASE ** 6, -nkgeom._BASE ** 6],
+                         ids=["digit", "carry", "borrow"])
+def test_an_overflowing_packed_digit_raises(monkeypatch, excess):
+    # a value that reaches B/4 in its digit, carries out of the sixth or
+    # borrows below the first must not be read back as a table value
+    original = nkgeom._five_term
+    monkeypatch.setattr(nkgeom, "_five_term",
+                        lambda x, y, z: tuple(n + excess for n in original(x, y, z)))
+    nkgeom.curvature_table.cache_clear()
+    try:
+        with pytest.raises(OverflowError):
+            nkgeom.curvature_table()
+    finally:
+        monkeypatch.undo()
+        nkgeom.curvature_table.cache_clear()
