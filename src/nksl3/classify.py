@@ -310,8 +310,9 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     there the first minor has degree ≤ 5 in λ·b: equal nonzero values at six
     cells make it that constant, refuting the row, and a row of at most six
     cells is probed whole.  Any other row sends each cell to `_in_plane`.
-    On case-4 rows that minor is free of b, λ⁵·(−12a²(3a² + ε)).  A Fraction is built only to label a cell that
-    passes.  Grid evidence, not a proof of uniqueness."""
+    On case-4 rows that minor is free of b, λ⁵·(−12a²(3a² + ε)).  A
+    Fraction is built only to label a cell that passes.  Grid evidence, not
+    a proof of uniqueness."""
     grid = grid or GridSpec()
     claimed = tangency_test(claimed_case4_point()).in_span
     m = math.lcm(grid.a_min.denominator, grid.a_step.denominator,

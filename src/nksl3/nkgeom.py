@@ -131,10 +131,10 @@ def curvature_table() -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
     """The curvature tensor in integers, built once, on first use: (D, entries),
     each entry (i, j, k, l, t) saying R(eᵢ₊₁, eⱼ₊₁)eₖ₊₁ has eₗ₊₁ coefficient
     t/D.  `_five_term` is linear in Z, so at Z = (1, B, …, B⁵), B = 256, each
-    of the 36 integer basis pairs (i, j) packs t over k into the six bytes of
-    coordinate l, each lifted by B/4 to read unsigned.  A digit |t| ≥ B/4, or
-    a carry past the sixth (`to_bytes` refuses it), could be an overflow and
-    raises OverflowError (|t| ≤ 16 here)."""
+    of the 36 basis pairs (i, j) packs t over k into the six bytes of
+    coordinate l, each lifted by B/4: exact for every t in [−B/4, B/4).  A
+    byte ≥ B/2, or a carry past the sixth (`to_bytes` refuses it), raises
+    OverflowError, catching every other |t| < 3B/4 (|t| ≤ 16 here)."""
     units = [tuple(int(m == n) for m in range(6)) for n in range(6)]
     zero, entries = _BASE // 4, []
     for i, j in itertools.product(range(6), repeat=2):
