@@ -260,12 +260,6 @@ class GridSpec:
         return (range(a_first, (self.a_max - self.a_min) // self.a_step + 1),
                 range((self.b_max - self.b_min) // self.b_step + 1))
 
-    def a_values(self) -> Iterator[Fraction]:
-        return (self.a_min + k * self.a_step for k in self._steps()[0])
-
-    def b_values(self) -> Iterator[Fraction]:
-        return (self.b_min + k * self.b_step for k in self._steps()[1])
-
     def cells(self) -> int:
         """The number of cells `pin_case4` sweeps (both ε)."""
         # from the bounds, since len() of a range overflows past sys.maxsize
@@ -290,10 +284,6 @@ class PinReport:
     unexpected_passes: tuple[str, ...]
     grid: GridSpec
 
-    @property
-    def grid_passes(self) -> int:
-        return len(self.unexpected_passes)
-
 
 def pin_case4(grid: GridSpec | None = None) -> PinReport:
     """Certify the claimed case 4 point exactly and sweep a rational grid of
@@ -306,15 +296,19 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     sweep writes it in integers, as (2m·A, 0, 2m², 0, A² + εm², λb), A = m·a
     and λb each stepped in integers.  Each minor of [X | JX | V] is
     homogeneous of degree 5 in X, so X ↦ λX multiplies it by λ⁵ ≠ 0 and
-    keeps the verdict.  X is affine in b along a row of fixed (ε, a), so
-    there the first minor has degree ≤ 5 in λ·b: equal nonzero values at six
-    cells make it that constant, refuting the row, and a row of at most six
-    cells is probed whole.  Any other row sends each cell to `_in_plane`.
-    On case-4 rows that minor is free of b, λ⁵·(−12a²(3a² + ε)).  A
-    Fraction is built only to label a cell that passes.  Grid evidence, not
-    a proof of uniqueness."""
+    keeps the verdict.  Once per sweep the first minor runs on the
+    `linalg.Degree` ring at the row shape (c, 0, c, 0, c, λb), which bounds
+    its degree d in λb along every row of fixed (ε, a).  Equal nonzero
+    values at max(d + 1, 1) cells make it that constant, refuting the row,
+    and a row of at most that many cells is probed whole; any other row
+    sends each cell to `_in_plane`.  The pass gives d = 0, one probe per
+    row: there the first minor is λ⁵·(−12a²(3a² + ε)), as `prove_case4`
+    proves.  A Fraction is built only to label a cell that passes."""
     grid = grid or GridSpec()
     claimed = tangency_test(claimed_case4_point()).in_span
+    c = linalg.Degree(0)
+    row = next(_minors((c, 0, c, 0, c, linalg.Degree(1))))
+    n = max(linalg.Degree.of(row).d + 1, 1)
     m = math.lcm(grid.a_min.denominator, grid.a_step.denominator,
                  grid.b_min.denominator, grid.b_step.denominator)
     scale = 2 * m * m
@@ -327,8 +321,8 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
     for epsilon in (-1, 1):
         for a in a_scaled:
             head = (2 * m * a, 0, scale, 0, a * a + epsilon * m * m)
-            probes = [next(_minors((*head, b))) for b in b_scaled[:6]]
-            if all(probes) and (len(b_scaled) <= 6 or len(set(probes)) == 1):
+            probes = [next(_minors((*head, b))) for b in b_scaled[:n]]
+            if all(probes) and (len(b_scaled) <= n or len(set(probes)) == 1):
                 continue  # the first minor refutes every cell of the row
             unexpected += [CaseCandidate(
                 4, epsilon=epsilon, a=FieldElem(Fraction(a, m)),
@@ -336,6 +330,27 @@ def pin_case4(grid: GridSpec | None = None) -> PinReport:
                 for b in b_scaled if _in_plane((*head, b))]
     cells = 2 * len(a_scaled) * len(b_scaled)
     return PinReport(claimed, cells, tuple(unexpected), grid)
+
+
+def prove_case4() -> str:
+    """The witness that the case 4 normal form is tangent only at ε = −1,
+    a = 1/√3, b = 0: minor 16 (rows e₃e₄e₅) of [X | JX | V] is −48b², so
+    b = 0, and minor 0 (rows e₁e₂e₃) is −12a²(3a² + ε), zero for a > 0 only
+    there.  `linalg.prove_zero` proves each per ε at 2X = (2a, 0, 2, 0,
+    a² + ε, 2b) in integers, where a minor is 2⁵ times its value at X."""
+    proofs = set()
+    for index, text, rhs in (
+            (0, "−12a²(3a²+ε)", lambda e, a, b: -12 * a * a * (3 * a * a + e)),
+            (16, "−48b²", lambda e, a, b: -48 * b * b)):
+        def difference(a, b):
+            x = (2 * a, 0, 2, 0, a * a + e, 2 * b)
+            return (next(itertools.islice(_minors(x), index, None))
+                    - 32 * rhs(e, a, b))
+        for e in (-1, 1):
+            proofs.add(linalg.prove_zero(f"minor {index} ≡ {text}",
+                                         difference, "ab"))
+    return ("; ".join(sorted(proofs)) + "; each for ε = ±1 at X = (a, 0, 1, "
+            "0, ½(a²+ε), b), so b = 0, ε = −1 and a = 1/√3")
 
 
 _SURVIVOR_TABLE: tuple[tuple[str, CaseCandidate, str], ...] = (

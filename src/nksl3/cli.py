@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from . import exactfield, linalg
 from .classify import (CaseCandidate, GridSpec, claimed_case4_point,
                        eliminate_case2, match_survivors, pin_case4,
-                       tangency_test)
+                       prove_case4, tangency_test)
 from .exactfield import ONE, SQRT2, SQRT3, SQRT6, ZERO, FieldElem
 from .liealg import (FullVec, MVec, _metric_rows, ad_numeric, basis_matrix,
                      bracket, coeff_bracket, decompose, dphi, metric,
@@ -467,7 +467,8 @@ def _classify_checks(spec: SuiteSpec) -> list[Check]:
                  f"grid points passed: {', '.join(report.unexpected_passes)}")
         point = claimed_case4_point()
         return (f"claimed point ({point.label()}) passes; grid "
-                f"{report.grid}: {report.cells} cells, 0 passes")
+                f"{report.grid}: {report.cells} cells, 0 passes; "
+                f"{prove_case4()}")
 
     def mapping() -> str:
         matches = match_survivors()

@@ -3,11 +3,15 @@
 Matrices are lists of rows of FieldElem.  Ranks, spans and inverses come
 from Gaussian elimination, signatures from the characteristic polynomial;
 all of it is exact, so it carries proof force, not floating-point confidence.
+`Degree` bounds the degree of what a ring-generic kernel computes for
+`prove_zero`, which proves an identity on a grid sized from those bounds.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+import math
+from typing import Callable, Sequence
 
 from .exactfield import ONE, ZERO, FieldElem
 
@@ -110,3 +114,53 @@ def signature(gram: Sequence[Sequence[FieldElem]]) -> tuple[int, int, int]:
     signs = [coeff.sign() for coeff in coeffs if coeff]
     pos = sum(a != b for a, b in zip(signs, signs[1:]))
     return pos, n - null - pos, null
+
+
+class Degree:
+    """A bound d on the degree in one marked variable, −1 for the exact zero:
+    + and − take the larger bound, × adds them, and a constant has degree 0,
+    or −1 when it is 0.  Run on this ring, a kernel that uses only +, − and
+    × bounds the degree of the polynomial it computes; a kernel that
+    branches on a value has no such bound, so truth testing raises."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int) -> None:
+        self.d = d
+
+    @staticmethod
+    def of(value) -> "Degree":
+        return value if type(value) is Degree else Degree(0 if value else -1)
+
+    def __add__(self, other) -> "Degree":
+        d = other.d if type(other) is Degree else 0 if other else -1
+        return Degree(d if d > self.d else self.d)
+
+    def __mul__(self, other) -> "Degree":
+        d = other.d if type(other) is Degree else 0 if other else -1
+        return Degree(-1 if d < 0 or self.d < 0 else self.d + d)
+
+    def __pow__(self, n: int) -> "Degree":
+        return math.prod([self] * n, start=Degree(0))
+
+    def __bool__(self) -> bool:
+        raise TypeError("a degree bound has no truth value")
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def prove_zero(identity: str, f: Callable, names: str) -> str:
+    """The witness that the ring-generic f(x₁, …, xₙ) is the zero
+    polynomial: f has degree ≤ dᵢ in xᵢ by `Degree`, marking one variable at
+    a time, and vanishes on the grid Πᵢ {0, …, dᵢ}, so it is zero, one
+    variable at a time.  Raises ValueError at a grid point where it is not."""
+    n = len(names)
+    bounds = [Degree.of(f(*(Degree(int(i == j)) for j in range(n)))).d
+              for i in range(n)]
+    for point in itertools.product(*(range(d + 1) for d in bounds)):
+        if f(*point):
+            raise ValueError(f"{identity} fails at {names} = {point}")
+    degrees = ", ".join(f"{d} in {x}" for d, x in zip(bounds, names))
+    grid = "×".join(f"{{0..{d}}}" for d in bounds)
+    return f"{identity}: degree ≤ {degrees}; zero on the grid {grid}"

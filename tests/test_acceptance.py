@@ -146,7 +146,6 @@ def test_criterion_7_classification_sweep():
         report = pin_case4()
         assert report.claimed_point_passes
         assert report.cells == 14520
-        assert report.grid_passes == 0
         assert report.unexpected_passes == ()
         expected = {"1": "f1", "3+": "f2", "3-": "f3", "4": "f4", "5": "f5"}
         assert match_survivors() == expected

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nksl3 import classify, cli, nkgeom
+from nksl3 import classify, cli, linalg, nkgeom
 from nksl3.classify import (CaseCandidate, GridSpec, case4_coords,
                             claimed_case4_point,
                             curvature_table, eliminate_case2, in_span,
@@ -25,6 +25,14 @@ RNG_SEED = 3
 
 def _e(i):
     return MVec.basis(i)
+
+
+def _grid_values(grid):
+    """The a and b values of a sweep, read from its step indices: the
+    reference for the integers `pin_case4` steps."""
+    a_steps, b_steps = grid._steps()
+    return ([grid.a_min + k * grid.a_step for k in a_steps],
+            [grid.b_min + k * grid.b_step for k in b_steps])
 
 
 def test_candidate_validation():
@@ -202,8 +210,7 @@ def test_grid_spec_parse_and_counts():
     grid = GridSpec.parse("0:3:1/20,-3:3:1/20")
     assert grid == GridSpec()
     assert str(grid) == "0:3:1/20,-3:3:1/20"
-    a_values = list(grid.a_values())
-    b_values = list(grid.b_values())
+    a_values, b_values = _grid_values(grid)
     assert len(a_values) == 60
     assert len(b_values) == 121
     assert a_values[0] == Fraction(1, 20) and a_values[-1] == Fraction(3)
@@ -242,22 +249,21 @@ def test_pin_case4_coarse_grid():
     report = pin_case4(grid)
     assert report.claimed_point_passes
     assert report.cells == 2 * 3 * 5
-    assert report.grid_passes == 0
     assert report.unexpected_passes == ()
 
 
 def test_pin_case4_skips_nonpositive_a():
     grid = GridSpec.parse("-1:1:1/2,0:0:1")
-    a_values = list(grid.a_values())
-    assert a_values == [Fraction(1, 2), Fraction(1)]
+    assert _grid_values(grid)[0] == [Fraction(1, 2), Fraction(1)]
 
 
 def _per_cell_labels(grid):
     """The reference sweep: every cell through `rational_tangency`."""
     cells, labels = 0, []
+    a_values, b_values = _grid_values(grid)
     for epsilon in (-1, 1):
-        for a in grid.a_values():
-            for b in grid.b_values():
+        for a in a_values:
+            for b in b_values:
                 cells += 1
                 if rational_tangency(case4_coords(epsilon, a, b)):
                     labels.append(CaseCandidate(
@@ -275,6 +281,12 @@ def test_pin_case4_matches_the_per_cell_route():
         report = pin_case4(grid)
         assert (report.cells, report.unexpected_passes) \
             == _per_cell_labels(grid), spec
+
+
+def _cells(grid):
+    a_values, b_values = _grid_values(grid)
+    return [(epsilon, a, b) for epsilon in (-1, 1)
+            for a in a_values for b in b_values]
 
 
 def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
@@ -295,8 +307,10 @@ def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
     monkeypatch.setattr(classify, "_minors", record)
     monkeypatch.setattr(classify, "rational_tangency", None)
     report = pin_case4(grid)
-    cells = [(epsilon, a, b) for epsilon in (-1, 1)
-             for a in grid.a_values() for b in grid.b_values()]
+    # the sweep's one degree pass runs first, on the ring, marked in x6
+    degree_pass, *calls = calls
+    assert isinstance(degree_pass[5], linalg.Degree)
+    cells = _cells(grid)
     assert len(cells) == report.cells
     scale = calls[0][2]
     assert type(scale) is int and scale > 0
@@ -309,10 +323,11 @@ def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
     # the kernel: the calls follow that order, each cell scaled from its own
     # row's ε and a
     expected = []
+    a_values, b_values = _grid_values(grid)
     for epsilon in (-1, 1):
-        for a in grid.a_values():
+        for a in a_values:
             row = [tuple(scale * c for c in case4_coords(epsilon, a, b))
-                   for b in grid.b_values()]
+                   for b in b_values]
             expected += row[:6] + row
     assert [tuple(x) for x in calls] == expected
     assert report.unexpected_passes == tuple(
@@ -324,8 +339,9 @@ def test_pin_case4_scales_each_cell_by_one_integer(monkeypatch):
 def test_six_probes_decide_each_row(monkeypatch):
     # a quintic in x6 that equals one nonzero constant at the first five b
     # cells of every row (k = 0..4, where 3·b + 9 = k) and vanishes at
-    # b = 2 (k = 15): five equal probes would refute the row, the sixth
-    # (k = 5) sends it to the per-cell route, which reports the b = 2 cells
+    # b = 2 (k = 15): its computed degree bound is 5, so five equal probes
+    # would refute the row, the sixth (k = 5) sends it to the per-cell
+    # route, which reports the b = 2 cells
     grid = GridSpec.parse("0:2:1/3,-3:3:1/3")
 
     def quintic(x):
@@ -334,23 +350,42 @@ def test_six_probes_decide_each_row(monkeypatch):
                - math.prod(range(11, 16)) * x[2] ** 5)
 
     monkeypatch.setattr(classify, "_minors", quintic)
-    cells = [(epsilon, a, b) for epsilon in (-1, 1)
-             for a in grid.a_values() for b in grid.b_values()]
     assert pin_case4(grid).unexpected_passes == tuple(
         CaseCandidate(4, epsilon=epsilon, a=FieldElem(a),
                       b=FieldElem(b)).label()
-        for epsilon, a, b in cells if b == 2)
+        for epsilon, a, b in _cells(grid) if b == 2)
     monkeypatch.undo()
-    # on the default grid (60 a × 2 ε = 120 rows) the real first minor
-    # refutes every row from its six probes: no cell reaches the kernel
-    calls = {"_minors": 0, "_in_plane": 0}
-    for name in calls:
+    # on the default grid (60 a × 2 ε = 120 rows) the real first minor has
+    # degree 0 in b, so one probe refutes each row: no cell reaches the
+    # kernel, and the degree pass is the one call on the ring
+    calls = {"_minors": 0, "_in_plane": 0, "ring": 0}
+    for name in ("_minors", "_in_plane"):
         def counted(x, name=name, original=getattr(classify, name)):
-            calls[name] += 1
+            calls[name if all(type(c) is int for c in x) else "ring"] += 1
             return original(x)
         monkeypatch.setattr(classify, name, counted)
     assert pin_case4().unexpected_passes == ()
-    assert calls == {"_minors": 6 * 120, "_in_plane": 0}
+    assert calls == {"_minors": 120, "_in_plane": 0, "ring": 1}
+
+
+def test_a_quadratic_first_minor_gets_three_probes_per_row(monkeypatch):
+    # degree 2 in x6 by the ring, constant in value: three equal nonzero
+    # probes refute each row, and no cell reaches the kernel
+    grid = GridSpec.parse("0:2:1/3,-3:3:1/3")
+    calls = []
+
+    def quadratic(x):
+        calls.append(tuple(x))
+        yield x[5] * x[5] - x[5] ** 2 + x[2] ** 2
+
+    monkeypatch.setattr(classify, "_minors", quadratic)
+    monkeypatch.setattr(classify, "_in_plane", None)
+    assert pin_case4(grid).unexpected_passes == ()
+    scale = calls[1][2]
+    a_values, b_values = _grid_values(grid)
+    assert calls[1:] == [tuple(scale * c for c in case4_coords(epsilon, a, b))
+                         for epsilon in (-1, 1) for a in a_values
+                         for b in b_values[:3]]
 
 
 def test_first_minor_on_case4_rows_is_free_of_b():
@@ -365,8 +400,8 @@ def test_first_minor_on_case4_rows_is_free_of_b():
 
 
 def test_first_minor_is_a_quintic_free_of_b_on_case4_rows():
-    # the six-probe bound: the first minor is homogeneous of degree 5 in X,
-    # and on case-4 rows it is −12a²(3a² + ε) as a polynomial
+    # the first minor is homogeneous of degree 5 in X, and on case-4 rows
+    # it is −12a²(3a² + ε) as a polynomial
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x1:7")
     first = sympy.Poly(next(classify._minors(x)), *x)
@@ -375,6 +410,92 @@ def test_first_minor_is_a_quintic_free_of_b_on_case4_rows():
     for epsilon in (-1, 1):
         minor = next(classify._minors(case4_coords(epsilon, a, b)))
         assert sympy.expand(minor + 12 * a**2 * (3 * a**2 + epsilon)) == 0
+
+
+def test_minor_16_is_minus_48_b_squared_on_case4():
+    # rows e3e4e5: b = 0 on every tangent case-4 X, for either ε
+    sympy = pytest.importorskip("sympy")
+    a, b = sympy.symbols("a b")
+    for epsilon in (-1, 1):
+        minors = list(classify._minors(case4_coords(epsilon, a, b)))
+        assert classify._ROW_TRIPLES[16] == (2, 3, 4)
+        assert sympy.expand(minors[16] + 48 * b**2) == 0
+
+
+def _bounds_cover_sympy_degrees(sympy):
+    """Whether the ring's bounds in a and in b are at least sympy's degrees
+    on each of the twenty minors at case-4 X, for both ε."""
+    a, b = sympy.symbols("a b")
+    for epsilon in (-1, 1):
+        exact = [sympy.Poly(sympy.expand(minor), a, b) for minor
+                 in classify._minors(case4_coords(epsilon, a, b))]
+        for mark in range(2):
+            marked = [linalg.Degree(int(mark == i)) for i in range(2)]
+            bounds = [linalg.Degree.of(minor).d for minor in
+                      classify._minors(case4_coords(epsilon, *marked))]
+            for bound, poly in zip(bounds, exact, strict=True):
+                if not poly.is_zero and bound < poly.degree(mark):
+                    return False
+    return True
+
+
+def test_degree_bounds_cover_the_true_degrees(monkeypatch):
+    # a mutant ring whose + keeps the smaller bound undercounts
+    sympy = pytest.importorskip("sympy")
+    assert _bounds_cover_sympy_degrees(sympy)
+
+    def smaller(self, other):
+        return linalg.Degree(min(self.d, linalg.Degree.of(other).d))
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(linalg.Degree, name, smaller)
+    assert not _bounds_cover_sympy_degrees(sympy)
+
+
+def test_prove_case4_states_its_bounds_and_grids():
+    assert classify.prove_case4() == (
+        "minor 0 ≡ −12a²(3a²+ε): degree ≤ 4 in a, 0 in b; zero on the grid "
+        "{0..4}×{0..0}; minor 16 ≡ −48b²: degree ≤ 4 in a, 2 in b; zero on "
+        "the grid {0..4}×{0..2}; each for ε = ±1 at X = (a, 0, 1, 0, "
+        "½(a²+ε), b), so b = 0, ε = −1 and a = 1/√3")
+
+
+def test_prove_case4_fails_on_a_flipped_j_block_or_a_dropped_entry(monkeypatch):
+    # J with the sign of its e3e4 block flipped, and the table without
+    # (0, 1, 1, 0, −16): each breaks the identities
+    flipped = nkgeom._complex_structure("J", {1: (2, -1), 3: (4, -1),
+                                              5: (6, 1)})
+    denominator, entries = curvature_table()
+    assert (0, 1, 1, 0, -16) in entries
+    dropped = tuple(e for e in entries if e != (0, 1, 1, 0, -16))
+    for name, value in (("J", flipped),
+                        ("curvature_table", lambda: (denominator, dropped))):
+        tangency_form.cache_clear()
+        monkeypatch.setattr(classify, name, value)
+        try:
+            with pytest.raises(ValueError, match="fails at ab ="):
+                classify.prove_case4()
+        finally:
+            monkeypatch.undo()
+            tangency_form.cache_clear()
+    assert classify.prove_case4()
+
+
+def test_prove_zero_sizes_its_grid_from_the_bounds():
+    # (x − y)(x + y) − x² + y² is zero; a dropped term leaves −y², which the
+    # grid catches at y = 1; a product with 0 is the exact zero, degree −1
+    assert linalg.prove_zero(
+        "id", lambda x, y: (x - y) * (x + y) - x * x + y ** 2, "xy") == \
+        "id: degree ≤ 2 in x, 2 in y; zero on the grid {0..2}×{0..2}"
+    with pytest.raises(ValueError, match=r"id fails at xy = \(0, 1\)"):
+        linalg.prove_zero("id", lambda x, y: x * x - y * y - x * x, "xy")
+    # x(x − 1) has the roots 0 and 1: only the third grid point refutes it
+    with pytest.raises(ValueError, match=r"fails at x = \(2,\)"):
+        linalg.prove_zero("x(x − 1) ≡ 0", lambda x: x * (x - 1), "x")
+    assert linalg.prove_zero("zero", lambda x: 0 * x, "x") == \
+        "zero: degree ≤ -1 in x; zero on the grid {0..-1}"
+    with pytest.raises(TypeError, match="no truth value"):
+        bool(linalg.Degree(0))
 
 
 def test_a_vanishing_first_minor_sends_every_cell_to_the_kernel(monkeypatch):
@@ -390,8 +511,7 @@ def test_a_vanishing_first_minor_sends_every_cell_to_the_kernel(monkeypatch):
 
     monkeypatch.setattr(classify, "_minors", minors)
     report = pin_case4(grid)
-    cells = [(epsilon, a, b) for epsilon in (-1, 1)
-             for a in grid.a_values() for b in grid.b_values()]
+    cells = _cells(grid)
     scale = kernel[0][2]
     assert kernel == [tuple(scale * c for c in case4_coords(epsilon, a, b))
                       for epsilon, a, b in cells]
@@ -549,7 +669,7 @@ def test_rational_tangency_refuses_floats_and_scales_fractions():
 def test_rational_tangency_agrees_with_tangency_test_on_grid_sample():
     rng = random.Random(RNG_SEED + 2)
     grid = GridSpec()
-    a_values, b_values = list(grid.a_values()), list(grid.b_values())
+    a_values, b_values = _grid_values(grid)
     for _ in range(60):
         epsilon = rng.choice((-1, 1))
         a, b = rng.choice(a_values), rng.choice(b_values)
