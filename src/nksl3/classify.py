@@ -235,6 +235,10 @@ class GridSpec:
     b_step: Fraction = Fraction(1, 20)
 
     def __post_init__(self) -> None:
+        bounds = tuple(vars(self).values())
+        if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+                   for v in bounds):
+            raise TypeError(f"grid bounds must be int or Fraction, not {bounds!r}")
         if self.a_step <= 0 or self.b_step <= 0:
             raise ValueError("grid steps must be positive")
 

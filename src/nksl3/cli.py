@@ -3,6 +3,7 @@
 Each suite runs a list of named checks.  Exact identities are exhaustive
 and ignore the seed; numeric sweeps draw from a seeded generator so the
 same flags always produce the same report (the elapsed_ms field aside).
+A failure witness is a `str.format` template, rendered only on failure.
 Exit status: 0 when every check passes, 1 when any fails, 2 on bad usage
 or when the report cannot be written to --out or stdout.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import random
 import sys
 import time
@@ -26,7 +26,7 @@ from .classify import (CaseCandidate, GridSpec, claimed_case4_point,
 from .exactfield import ONE, SQRT2, SQRT3, SQRT6, ZERO, FieldElem
 from .liealg import (FullVec, MVec, _metric_rows, ad_numeric, basis_matrix,
                      bracket, coeff_bracket, decompose, dphi, metric,
-                     rotation_action_matrix)
+                     rotation_action_matrix, worst_deviation)
 from .nkgeom import (F, J, J1, P, DegeneratePlaneError, curvature,
                      curvature_table, einstein_constant, nabla_tensor,
                      oracle_sign, sectional)
@@ -40,10 +40,9 @@ class CheckFailure(Exception):
 
 
 def _require(condition: bool, witness: str, *values: object) -> None:
-    """Fail the check with `witness`.  Given values, the witness is a
-    `str.format` template, filled in only when the check fails."""
+    """Fail the check with the template `witness` filled in with `values`."""
     if not condition:
-        raise CheckFailure(witness.format(*values) if values else witness)
+        raise CheckFailure(witness.format(*values))
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ def _field_checks(spec: SuiteSpec) -> list[Check]:
 def _algebra_checks(spec: SuiteSpec) -> list[Check]:
     def traceless() -> str:
         for i in range(1, 9):
-            _require(basis_matrix(i).trace() == ZERO, f"e{i} has nonzero trace")
+            _require(basis_matrix(i).trace() == ZERO, "e{} has nonzero trace", i)
         return "all eight basis matrices are traceless"
 
     def bracket_table() -> str:
@@ -203,11 +202,11 @@ def _algebra_checks(spec: SuiteSpec) -> list[Check]:
         b, e = coeff_bracket, FullVec.basis
         for i, j in itertools.product(range(1, 9), repeat=2):
             _require(b(e(i), e(j)) == -b(e(j), e(i)),
-                     f"bracket not antisymmetric at ({i}, {j})")
+                     "bracket not antisymmetric at ({}, {})", i, j)
         for i, j, k in itertools.combinations(range(1, 9), 3):
             x, y, z = e(i), e(j), e(k)
             total = b(x, b(y, z)) + b(y, b(z, x)) + b(z, b(x, y))
-            _require(not total, f"Jacobi broke at ({i}, {j}, {k})")
+            _require(not total, "Jacobi broke at ({}, {}, {})", i, j, k)
         return "antisymmetric on 64 basis pairs, Jacobi on 56 triples, exact"
 
     def natural_reductivity() -> str:
@@ -215,14 +214,14 @@ def _algebra_checks(spec: SuiteSpec) -> list[Check]:
             x, y, z = (FullVec.basis(n) for n in (i, j, k))
             lhs = metric(coeff_bracket(x, y), z)
             rhs = metric(x, coeff_bracket(y, z))
-            _require(lhs == rhs, f"<[X,Y],Z> != <X,[Y,Z]> at ({i}, {j}, {k})")
+            _require(lhs == rhs, "<[X,Y],Z> != <X,[Y,Z]> at ({}, {}, {})", i, j, k)
         return "all 216 tangent triples, exact"
 
     def metric_signature() -> str:
         gram = [[metric(MVec.basis(i), MVec.basis(j)) for j in _M_INDICES]
                 for i in _M_INDICES]
         sig = linalg.signature(gram)
-        _require(sig == (2, 4, 0), f"tangent signature is {sig}")
+        _require(sig == (2, 4, 0), "tangent signature is {}", sig)
         return "tangent metric has signature (2, 4, 0)"
 
     def decompose_roundtrip() -> str:
@@ -235,7 +234,7 @@ def _algebra_checks(spec: SuiteSpec) -> list[Check]:
 
     def stabilizer_rotation() -> str:
         rng = random.Random(spec.seed)
-        worst = 0.0
+        deviations = []
         for _ in range(spec.samples):
             t = rng.uniform(-1.0, 1.0)
             s = rng.uniform(-3.2, 3.2)
@@ -243,28 +242,25 @@ def _algebra_checks(spec: SuiteSpec) -> list[Check]:
             coeffs = [c.to_float() for c in x.coeffs]
             closed = [sum(a * c for a, c in zip(row, coeffs))
                       for row in rotation_action_matrix(t, s)]
-            for direct, expected in zip(ad_numeric(t, s, x), closed):
-                deviation = abs(direct - expected)
-                # a NaN is kept, and fails the check; max() would drop it
-                if deviation > worst or math.isnan(deviation):
-                    worst = deviation
-        _require(worst <= spec.tol, f"max deviation {worst:.3e} > tol")
+            deviations.extend(abs(direct - expected) for direct, expected
+                              in zip(ad_numeric(t, s, x), closed))
+        worst = worst_deviation(deviations)
+        _require(worst <= spec.tol, "max deviation {:.3e} > tol", worst)
         return (f"{spec.samples} stabilizer samples, seed {spec.seed}, "
                 f"max deviation {worst:.3e}")
 
     def dphi_properties() -> str:
         for i in _M_INDICES:
             _require(dphi(dphi(MVec.basis(i))) == MVec.basis(i),
-                     f"dphi not an involution at e{i}")
+                     "dphi not an involution at e{}", i)
         for i, j in itertools.product(_M_INDICES, repeat=2):
             x, y = MVec.basis(i), MVec.basis(j)
             _require(metric(dphi(x), dphi(y)) == metric(x, y),
-                     f"dphi not an isometry at ({i}, {j})")
+                     "dphi not an isometry at ({}, {})", i, j)
         _require(dphi(MVec.basis(3)) == MVec.basis(5)
                  and dphi(MVec.basis(5)) == MVec.basis(3),
                  "dphi does not swap the nilpotent blocks")
-        _require(dphi(MVec.basis(1)) == -MVec.basis(1),
-                 "dphi(e1) != -e1")
+        _require(dphi(MVec.basis(1)) == -MVec.basis(1), "dphi(e1) != -e1")
         return "involution, isometry on 36 pairs, swaps e3 <-> e5"
 
     return [
@@ -285,50 +281,47 @@ def _tensors_checks(spec: SuiteSpec) -> list[Check]:
     def squares() -> str:
         for i in _M_INDICES:
             e = MVec.basis(i)
-            _require(J.apply(J.apply(e)) == -e, f"J^2 != -Id at e{i}")
-            _require(J1.apply(J1.apply(e)) == -e, f"J1^2 != -Id at e{i}")
-            _require(P.apply(P.apply(e)) == e, f"(J1 J)^2 != Id at e{i}")
+            _require(J.apply(J.apply(e)) == -e, "J^2 != -Id at e{}", i)
+            _require(J1.apply(J1.apply(e)) == -e, "J1^2 != -Id at e{}", i)
+            _require(P.apply(P.apply(e)) == e, "(J1 J)^2 != Id at e{}", i)
         return "J^2 = J1^2 = -Id and (J1 J)^2 = Id on the basis"
 
     def f_operator() -> str:
         for i in _M_INDICES:
             e = MVec.basis(i)
             _require(F.apply(F.apply(F.apply(e))) + F.apply(e) == MVec.zero(),
-                     f"F^3 + F != 0 at e{i}")
+                     "F^3 + F != 0 at e{}", i)
         _require(F.apply(MVec.basis(1)) == MVec.zero()
                  and F.apply(MVec.basis(2)) == MVec.zero(),
                  "F does not kill the split block")
         return "F^3 + F = 0 and F vanishes on the first block"
 
     def commutation() -> str:
-        pairs = (("J", J, "J1", J1), ("J", J, "F", F), ("J1", J1, "F", F),
-                 ("J", J, "J1J", P), ("F", F, "J1J", P))
-        for name_a, a, name_b, b, in pairs:
+        for a, b in ((J, J1), (J, F), (J1, F), (J, P), (F, P)):
             for i in _M_INDICES:
                 e = MVec.basis(i)
                 _require(a.apply(b.apply(e)) == b.apply(a.apply(e)),
-                         f"[{name_a}, {name_b}] != 0 at e{i}")
+                         "[{}, {}] != 0 at e{}", a.name, b.name, i)
         return "J, J1, F and J1J commute pairwise"
 
     def compatibility() -> str:
         for i, j in itertools.product(_M_INDICES, repeat=2):
             x, y = MVec.basis(i), MVec.basis(j)
-            for name, tensor in (("J", J), ("J1", J1), ("J1J", P)):
+            for tensor in (J, J1, P):
                 _require(metric(tensor.apply(x), tensor.apply(y)) == metric(x, y),
-                         f"{name} not metric compatible at ({i}, {j})")
+                         "{} not metric compatible at ({}, {})", tensor.name, i, j)
         return "J, J1 and J1J preserve the metric on all 36 pairs"
 
     def nearly_kaehler() -> str:
         for i, j in itertools.product(_M_INDICES, repeat=2):
             x, y = MVec.basis(i), MVec.basis(j)
             total = nabla_tensor(J, x, y) + nabla_tensor(J, y, x)
-            _require(total == MVec.zero(),
-                     f"(nabla_X J)Y not skew at ({i}, {j})")
+            _require(total == MVec.zero(), "(nabla_X J)Y not skew at ({}, {})", i, j)
         return "(nabla_X J)Y + (nabla_Y J)X = 0 on all 36 pairs"
 
     def strictness() -> str:
         value = nabla_tensor(J, MVec.basis(1), MVec.basis(3))
-        _require(value == -MVec.basis(4), f"(nabla_e1 J)e3 = {value}")
+        _require(value == -MVec.basis(4), "(nabla_e1 J)e3 = {}", value)
         return "(nabla_e1 J)e3 = -e4, nonzero"
 
     def j1_contrast() -> str:
@@ -363,28 +356,28 @@ def _curvature_checks(spec: SuiteSpec) -> list[Check]:
             table[i + 1, j + 1, k + 1][l] = t
         for i, j, k in itertools.product(_M_INDICES, repeat=3):
             _require(table[i, j, k] == [-t for t in table[j, i, k]],
-                     f"not antisymmetric in the first pair at ({i}, {j}, {k})")
+                     "not antisymmetric in the first pair at ({}, {}, {})", i, j, k)
             bianchi = map(sum, zip(table[i, j, k], table[j, k, i], table[k, i, j]))
             _require(not any(bianchi),
-                     f"first Bianchi identity fails at ({i}, {j}, {k})")
+                     "first Bianchi identity fails at ({}, {}, {})", i, j, k)
         paired = {(i, j, k, l): sign * table[i, j, k][source]
                   for i, j, k in itertools.product(_M_INDICES, repeat=3)
                   for l, (source, sign) in enumerate(_metric_rows()[:6], start=1)}
         for i, j, k, l in itertools.product(_M_INDICES, repeat=4):
             _require(paired[i, j, k, l] == -paired[i, j, l, k],
-                     f"not antisymmetric in the last pair at ({i}, {j}, {k}, {l})")
+                     "not antisymmetric in the last pair at ({}, {}, {}, {})", i, j, k, l)
             _require(paired[i, j, k, l] == paired[k, l, i, j],
-                     f"pair symmetry fails at ({i}, {j}, {k}, {l})")
+                     "pair symmetry fails at ({}, {}, {}, {})", i, j, k, l)
         return "antisymmetries, pair symmetry and first Bianchi, exhaustive"
 
     def known_value() -> str:
         value = curvature(MVec.basis(1), MVec.basis(2), MVec.basis(2))
-        _require(value == MVec.basis(1) * (-4), f"R(e1,e2)e2 = {value}")
+        _require(value == MVec.basis(1) * (-4), "R(e1,e2)e2 = {}", value)
         return "R(e1,e2)e2 = -4 e1"
 
     def einstein() -> str:
         constant = einstein_constant()
-        _require(constant == FieldElem(5), f"Einstein constant is {constant}")
+        _require(constant == FieldElem(5), "Einstein constant is {}", constant)
         return f"Ricci tensor equals {constant} times the metric, exactly"
 
     def sectional_constants() -> str:
@@ -398,7 +391,7 @@ def _curvature_checks(spec: SuiteSpec) -> list[Check]:
                 raise CheckFailure("degenerate plane was not refused")
             value = sectional(*generator(fam.id))
             _require(value == fam.expected_curvature,
-                     f"{fam.id} plane: sectional {value}")
+                     "{} plane: sectional {}", fam.id, value)
             values.append(str(value))
         return f"plane curvatures {', '.join(values)}; the null plane is refused"
 
@@ -418,7 +411,8 @@ def _examples_checks(spec: SuiteSpec) -> list[Check]:
         def run() -> str:
             cert = certify(fam.id, samples=spec.samples, tol=spec.tol,
                            seed=spec.seed)
-            _require(cert.ok, f"certificate failed: {asdict(cert)}")
+            if not cert.ok:
+                raise CheckFailure(f"certificate failed: {asdict(cert)}")
             sig = cert.induced_signature
             return (f"signature {sig}, curvature {cert.curvature}, "
                     f"orbit {fam.orbit_group} (dim {cert.orbit_algebra_dim}), "
@@ -439,11 +433,11 @@ def _classify_checks(spec: SuiteSpec) -> list[Check]:
         def run() -> str:
             candidate = CaseCandidate(case, epsilon=epsilon)
             result = tangency_test(candidate)
-            _require(result.in_span,
-                     f"{candidate.label()} failed: value {result.value}")
-            norm = metric(candidate.vector(), candidate.vector())
-            _require(norm == candidate.expected_norm(),
-                     f"norm {norm}, expected {candidate.expected_norm()}")
+            _require(result.in_span, "{} failed: value {}",
+                     candidate.label(), result.value)
+            norm, expected = (metric(candidate.vector(), candidate.vector()),
+                              candidate.expected_norm())
+            _require(norm == expected, "norm {}, expected {}", norm, expected)
             return (f"R(X,JX)JX stays tangent, {result.witness()}, "
                     f"norm {'+' if norm.sign() > 0 else ''}{norm}")
         return run
@@ -462,11 +456,10 @@ def _classify_checks(spec: SuiteSpec) -> list[Check]:
         _require(report.claimed_point_passes,
                  "the claimed parameter point failed the tangency test")
         _require(report.cells > 0,
-                 f"grid {report.grid} holds no cells, so the sweep is no evidence")
-        _require(not report.unexpected_passes,
-                 f"grid points passed: {', '.join(report.unexpected_passes)}")
-        point = claimed_case4_point()
-        return (f"claimed point ({point.label()}) passes; grid "
+                 "grid {} holds no cells, so the sweep is no evidence", report.grid)
+        _require(not report.unexpected_passes, "grid points passed: {}",
+                 ", ".join(report.unexpected_passes))
+        return (f"claimed point ({claimed_case4_point().label()}) passes; grid "
                 f"{report.grid}: {report.cells} cells, 0 passes; "
                 f"{prove_case4()}")
 
@@ -530,17 +523,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "SL(3,R)/(R x SO(2)).")
     parser.add_argument("suite", choices=SUITES,
                         help="which suite of checks to run")
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="numeric tolerance for float sweeps (default 1e-8)")
-    parser.add_argument("--samples", type=int, default=100,
-                        help="sample count for randomized sweeps (default 100)")
+    parser.add_argument("--tol", type=float, default=SuiteSpec.tol,
+                        help="numeric tolerance for float sweeps (default %(default)s)")
+    parser.add_argument("--samples", type=int, default=SuiteSpec.samples,
+                        help="sample count for randomized sweeps (default %(default)s)")
     parser.add_argument("--grid", default=None, metavar="SPEC",
                         help="case 4 grid 'amin:amax:astep,bmin:bmax:bstep' "
-                             "(default 0:3:1/20,-3:3:1/20)")
+                             f"(default {GridSpec()})")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps (default 0)")
+    parser.add_argument("--seed", type=int, default=SuiteSpec.seed,
+                        help="seed for randomized sweeps (default %(default)s)")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the report to FILE instead of stdout")
     args = parser.parse_args(argv)

@@ -315,6 +315,16 @@ def matmul(a: FloatMat, b: FloatMat) -> FloatMat:
             for r0, r1, r2 in a]
 
 
+def worst_deviation(deviations: Iterable[float]) -> float:
+    """The largest deviation, 0.0 for none.  A NaN is kept, so it fails the
+    tolerance it is checked against; max() would drop it."""
+    worst = 0.0
+    for deviation in deviations:
+        if deviation > worst or math.isnan(deviation):
+            worst = deviation
+    return worst
+
+
 def stabilizer_element(t: float, s: float) -> FloatMat:
     """The stabilizer point h(t, s): a rotation by s scaled by eᵗ in the
     upper block and e^{-2t} in the lower corner."""

@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .exactfield import SQRT2, SQRT3, FieldElem
-from .liealg import FloatMat, FullVec, MVec, coeff_bracket, metric
+from .liealg import (FloatMat, FullVec, MVec, coeff_bracket, metric,
+                     worst_deviation)
 from .nkgeom import J, sectional
 
 _HALF = Fraction(1, 2)
@@ -209,19 +210,15 @@ def exp_check(fid: str, samples: int = 100, tol: float = 1e-8,
     fam = family(fid)
     x, jx = (w.to_matrix().to_float() for w in generator(fid))
     rng = random.Random(seed)
-    max_dev = 0.0
+    deviations = []
     for _ in range(samples):
         u = rng.uniform(*fam.u_range)
         v = rng.uniform(*fam.v_range)
         p, q = fam.plane_coords(u, v)
         achieved = expm([[p * a + q * b for a, b in zip(ra, rb)]
                          for ra, rb in zip(x, jx)])
-        target = fam.closed_form(u, v)
-        deviation = coset_deviation(achieved, target)
-        # a NaN is kept, and fails `passed`; max() would drop it
-        if deviation > max_dev or math.isnan(deviation):
-            max_dev = deviation
-    return ExpCheckResult(samples, tol, max_dev)
+        deviations.append(coset_deviation(achieved, fam.closed_form(u, v)))
+    return ExpCheckResult(samples, tol, worst_deviation(deviations))
 
 
 def sff(kbasis: Sequence[MVec], x: MVec, y: MVec) -> MVec:

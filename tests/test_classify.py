@@ -238,6 +238,17 @@ def test_grid_spec_rejects_nonsense():
             GridSpec(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"a_step": 0.05}, {"a_max": True}, {"b_min": -3.0}, {"b_step": "1/20"},
+], ids=["float_step", "bool_bound", "float_bound", "str_step"])
+def test_grid_spec_refuses_non_rational_bounds(kwargs):
+    # a float would reach pin_case4's integer scaling, and a bool would be
+    # swept as 0 or 1 and printed as False or True in the witness
+    with pytest.raises(TypeError, match="grid bounds must be int or Fraction"):
+        GridSpec(**kwargs)
+    assert str(GridSpec(0, 1, 1, -1, 1, Fraction(1, 2))) == "0:1:1,-1:1:1/2"
+
+
 def test_pin_case4_empty_grid_is_no_pass():
     report = pin_case4(GridSpec.parse("0:0:1,0:0:1"))
     assert report.claimed_point_passes and not report.unexpected_passes

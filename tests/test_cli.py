@@ -1,6 +1,7 @@
 """The verification runner: suite composition, report formats, determinism,
 and process exit codes."""
 
+import ast
 import dataclasses
 import errno
 import importlib
@@ -11,6 +12,7 @@ import pathlib
 import pkgutil
 import random
 import re
+import string
 import subprocess
 import sys
 
@@ -130,6 +132,23 @@ def test_sample_witness_is_rendered_only_on_failure(monkeypatch):
     monkeypatch.setattr(FieldElem, "inv", lambda self: self)
     records = {r.name: r for r in cli.run(_spec("field", seed=4)).checks}
     assert records["field.inverse"].witness == f"x*inv(x) != 1 at {x}"
+
+
+def test_every_require_witness_is_a_literal_template():
+    # a witness is a str.format template, rendered only when its check
+    # fails, with one value passed for each replacement field
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_require"]
+    assert calls
+    for call in calls:
+        witness = call.args[1]
+        assert isinstance(witness, ast.Constant), ast.unparse(call)
+        assert isinstance(witness.value, str), ast.unparse(call)
+        fields = [field for _, field, _, _ in string.Formatter().parse(witness.value)
+                  if field is not None]
+        assert len(fields) == len(call.args) - 2, ast.unparse(call)
+        assert not call.keywords, ast.unparse(call)
 
 
 def test_certificate_witness_is_not_a_format_template():
@@ -465,13 +484,93 @@ def test_the_program_runs_without_numpy():
 def test_jacobi_check_fails_on_a_broken_table(monkeypatch, pairs, witness):
     # flipping [e1, e3] alone breaks antisymmetry; flipping both orders of
     # [e1, e2] keeps it and breaks the Jacobi identity
+    records = _algebra_records_with_flipped_brackets(monkeypatch, pairs)
+    assert records["algebra.jacobi"].witness == witness
+    assert not records["algebra.jacobi"].passed
+
+
+def _algebra_records_with_flipped_brackets(monkeypatch, pairs):
+    """The algebra suite's records with [eᵢ₊₁, eⱼ₊₁] negated for each
+    (i, j) in `pairs`."""
     flipped = tuple(tuple((j, tuple((k, -c) for k, c in terms)
                            if (i, j) in pairs else terms) for j, terms in row)
                     for i, row in enumerate(liealg._bracket_terms()))
     monkeypatch.setattr(liealg, "_bracket_terms", lambda: flipped)
+    return {r.name: r for r in cli.run(_spec("algebra")).checks}
+
+
+def test_natural_reductivity_fails_on_a_broken_table(monkeypatch):
+    # a negated [e1, e3] moves <[e1, e3], e5> and leaves <e1, [e3, e5]>
+    records = _algebra_records_with_flipped_brackets(monkeypatch, {(0, 2)})
+    reductivity = records["algebra.natural_reductivity"]
+    assert not reductivity.passed
+    assert reductivity.witness == "<[X,Y],Z> != <X,[Y,Z]> at (1, 3, 5)"
+
+
+def test_traceless_fails_on_a_basis_matrix_with_trace(monkeypatch):
+    shifted = liealg.basis_matrix(7) + liealg.AlgMat([[1, 0, 0], [0, 0, 0],
+                                                      [0, 0, 0]])
+    monkeypatch.setattr(cli, "basis_matrix",
+                        lambda i: shifted if i == 7 else liealg.basis_matrix(i))
     records = {r.name: r for r in cli.run(_spec("algebra")).checks}
-    assert records["algebra.jacobi"].witness == witness
-    assert not records["algebra.jacobi"].passed
+    assert not records["algebra.traceless"].passed
+    assert records["algebra.traceless"].witness == "e7 has nonzero trace"
+
+
+@pytest.mark.parametrize("mutant, witness", [
+    (lambda x: liealg.dphi(x) * 2, "dphi not an involution at e1"),
+    (lambda x: -liealg.dphi(x), "dphi does not swap the nilpotent blocks"),
+], ids=["doubled", "negated"])
+def test_dphi_check_fails_on_a_broken_dphi(monkeypatch, mutant, witness):
+    # the negated map is still an involution and an isometry
+    monkeypatch.setattr(cli, "dphi", mutant)
+    records = {r.name: r for r in cli.run(_spec("algebra")).checks}
+    assert not records["algebra.dphi"].passed
+    assert records["algebra.dphi"].witness == witness
+
+
+@pytest.mark.parametrize("attr, witnesses", [
+    ("J", {"tensors.squares": "J^2 != -Id at e3",
+           "tensors.commutation": "[J, J1] != 0 at e3",
+           "tensors.metric_compatibility": "J not metric compatible at (4, 6)",
+           "tensors.nearly_kaehler": "(nabla_X J)Y not skew at (1, 4)"}),
+    ("J1", {"tensors.squares": "J1^2 != -Id at e3",
+            "tensors.commutation": "[J, J1] != 0 at e3",
+            "tensors.metric_compatibility": "J1 not metric compatible at (4, 6)"}),
+    ("F", {"tensors.commutation": "[J, F] != 0 at e3",
+           "tensors.f_cube": "F^3 + F != 0 at e3"}),
+    ("P", {"tensors.commutation": "[J, J1J] != 0 at e3",
+           "tensors.metric_compatibility": "J1J not metric compatible at (3, 5)"}),
+])
+def test_tensor_checks_fail_on_one_flipped_row(monkeypatch, attr, witnesses):
+    # the sign of the e3 row flipped; each witness names the operator by
+    # its own name, so P is J1J
+    tensor = getattr(nkgeom, attr)
+    rows = list(tensor.rows)
+    rows[2] = (rows[2][0], -rows[2][1])
+    monkeypatch.setattr(cli, attr, nkgeom.InvariantTensor(tensor.name, tuple(rows)))
+    records = {r.name: r for r in cli.run(_spec("tensors")).checks}
+    failed = {name: r.witness for name, r in records.items() if not r.passed}
+    assert {name: failed.get(name) for name in witnesses} == witnesses
+
+
+@pytest.mark.parametrize("mutate, witness", [
+    ("tangency", "case 1 failed: value -4e1"),
+    ("norm", "norm -1, expected -2"),
+])
+def test_case1_check_fails_on_a_refuted_candidate(monkeypatch, mutate,
+                                                  witness):
+    if mutate == "tangency":
+        original = cli.tangency_test
+        monkeypatch.setattr(cli, "tangency_test", lambda candidate:
+                            dataclasses.replace(original(candidate), in_span=False))
+    else:
+        original = classify.CaseCandidate.expected_norm
+        monkeypatch.setattr(classify.CaseCandidate, "expected_norm",
+                            lambda self: original(self) * 2)
+    records = {r.name: r for r in cli.run(_spec("classify")).checks}
+    assert not records["classify.case1"].passed
+    assert records["classify.case1"].witness == witness
 
 
 @pytest.mark.parametrize("change, witness", [

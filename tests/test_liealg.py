@@ -347,6 +347,13 @@ def test_ad_action_skew_for_metric():
             assert lhs == -metric(x, _ad(i, y))
 
 
+def test_worst_deviation_keeps_a_nan():
+    assert liealg.worst_deviation([]) == 0.0
+    assert liealg.worst_deviation([1e-12, 3e-9, 2e-10]) == 3e-9
+    for deviations in ([math.nan, 5.0], [1.0, math.nan, 5.0], [2.0, math.nan]):
+        assert math.isnan(liealg.worst_deviation(deviations))
+
+
 def test_stabilizer_element_is_group_like():
     h = np.array(stabilizer_element(0.3, 1.1))
     assert abs(np.linalg.det(h) - 1.0) < 1e-12
