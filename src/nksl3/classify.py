@@ -111,27 +111,21 @@ class CaseCandidate:
 
 @dataclass(frozen=True)
 class SpanDecision:
-    """Whether `value` lies in the span tested, with the coefficients that
-    combine it from the spanning pair or the echelon row of the pivot."""
+    """Whether `value` lies in the span tested: `coefficients` combine it
+    from the spanning pair, and are None when it does not lie there."""
     value: MVec
-    in_span: bool
     coefficients: tuple[FieldElem, FieldElem] | None
-    pivot_row: int | None
 
-    def witness(self) -> str:
-        if self.in_span:
-            alpha, beta = self.coefficients
-            return f"coefficients ({alpha}, {beta})"
-        return f"rank 3; pivot in echelon row {self.pivot_row}"
+    @property
+    def in_span(self) -> bool:
+        return self.coefficients is not None
 
 
 def in_span(v: MVec, x: MVec, y: MVec) -> SpanDecision:
     """Exact membership of v in span{x, y} by elimination over the field."""
-    coeffs, pivot_row = linalg.solve_in_span(
-        [list(x.coeffs), list(y.coeffs)], list(v.coeffs))
-    if coeffs is None:
-        return SpanDecision(v, False, None, pivot_row)
-    return SpanDecision(v, True, (coeffs[0], coeffs[1]), None)
+    coeffs = linalg.solve_in_span([list(x.coeffs), list(y.coeffs)],
+                                  list(v.coeffs))
+    return SpanDecision(v, None if coeffs is None else tuple(coeffs))
 
 
 def _tangency(x: MVec) -> SpanDecision:
@@ -225,7 +219,8 @@ class GridSpec:
     """Rational sweep grid for the case 4 parameters: a over (a_min, a_max]
     and b over [b_min, b_max], both stepped uniformly.  The step index of a
     starts at 1, so a_min itself is never swept, even when it is positive;
-    values a ≤ 0 are skipped as well, since case 4 requires a > 0."""
+    values a ≤ 0 are skipped as well, since case 4 requires a > 0.  A grid
+    of more than `MAX_GRID_CELLS` cells is refused."""
 
     a_min: Fraction = Fraction(0)
     a_max: Fraction = Fraction(3)
@@ -241,6 +236,9 @@ class GridSpec:
             raise TypeError(f"grid bounds must be int or Fraction, not {bounds!r}")
         if self.a_step <= 0 or self.b_step <= 0:
             raise ValueError("grid steps must be positive")
+        if self.cells() > MAX_GRID_CELLS:
+            raise ValueError(f"grid {self} has {self.cells()} cells, "
+                             f"above the cap of {MAX_GRID_CELLS}")
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
@@ -251,11 +249,7 @@ class GridSpec:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad grid spec {text!r}; expected "
                              "'amin:amax:astep,bmin:bmax:bstep'") from exc
-        grid = cls(a_min, a_max, a_step, b_min, b_max, b_step)
-        if grid.cells() > MAX_GRID_CELLS:
-            raise ValueError(f"grid {text!r} has {grid.cells()} cells, "
-                             f"above the cap of {MAX_GRID_CELLS}")
-        return grid
+        return cls(a_min, a_max, a_step, b_min, b_max, b_step)
 
     def _steps(self) -> tuple[range, range]:
         """The step indices k of a = a_min + k·a_step (k ≥ 1, a ≤ a_max,
@@ -377,28 +371,17 @@ def match_survivors() -> dict[str, str | None]:
             for label, candidate, fid in _SURVIVOR_TABLE}
 
 
-@dataclass(frozen=True)
-class EliminationReport:
-    epsilon: int
-    representative: str
-    vector: MVec
-    value: MVec
-    eliminated: bool
-
-
-def eliminate_case2() -> list[EliminationReport]:
+def eliminate_case2() -> dict[tuple[int, str], SpanDecision]:
     """Run the tangency test on case 2 and on its image under the
-    transpose-inverse isometry.
+    transpose-inverse isometry, keyed by (ε, representative).
 
     The case list writes the mixed two-block candidate inside m₁ ⊕ m₃; dphi
     swaps m₂ with m₃, so the same geometry also has a representative in
     m₁ ⊕ m₂.  Both are tested and both must fail.
     """
-    reports: list[EliminationReport] = []
+    decisions = {}
     for epsilon in (-1, 1):
         x = CaseCandidate(2, epsilon=epsilon).vector()
-        for rep_name, vec in (("m1+m3", x), ("m1+m2 (dphi image)", dphi(x))):
-            decision = _tangency(vec)
-            reports.append(EliminationReport(epsilon, rep_name, vec, decision.value,
-                                             not decision.in_span))
-    return reports
+        decisions[epsilon, "m1+m3"] = _tangency(x)
+        decisions[epsilon, "m1+m2 (dphi image)"] = _tangency(dphi(x))
+    return decisions

@@ -56,6 +56,12 @@ class SuiteSpec:
     def __post_init__(self) -> None:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite: {self.suite}")
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (self.samples, self.seed)):
+            raise TypeError("samples and seed must be int, not "
+                            f"{self.samples!r} and {self.seed!r}")
+        if not isinstance(self.tol, (int, float)) or isinstance(self.tol, bool):
+            raise TypeError(f"tol must be an int or a float, not {self.tol!r}")
         if not 0 < self.tol < float("inf"):
             raise ValueError("tolerance must be positive and finite")
         if self.samples < 1:
@@ -438,18 +444,18 @@ def _classify_checks(spec: SuiteSpec) -> list[Check]:
             norm, expected = (metric(candidate.vector(), candidate.vector()),
                               candidate.expected_norm())
             _require(norm == expected, "norm {}, expected {}", norm, expected)
-            return (f"R(X,JX)JX stays tangent, {result.witness()}, "
+            alpha, beta = result.coefficients
+            return (f"R(X,JX)JX stays tangent, coefficients ({alpha}, {beta}), "
                     f"norm {'+' if norm.sign() > 0 else ''}{norm}")
         return run
 
     def case2() -> str:
-        reports = eliminate_case2()
-        _require(all(r.eliminated for r in reports),
+        decisions = eliminate_case2()
+        _require(not any(d.in_span for d in decisions.values()),
                  "a mixed-block candidate passed the tangency test")
-        parts = [f"eps={r.epsilon:+d} ({r.representative}): "
-                 f"R(X,JX)JX = {r.value} leaves span{{X, JX}}"
-                 for r in reports]
-        return "; ".join(parts)
+        return "; ".join(f"eps={epsilon:+d} ({representative}): "
+                         f"R(X,JX)JX = {d.value} leaves span{{X, JX}}"
+                         for (epsilon, representative), d in decisions.items())
 
     def case4() -> str:
         report = pin_case4(spec.grid)

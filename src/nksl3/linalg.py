@@ -28,10 +28,10 @@ def echelon(rows: Sequence[Sequence[FieldElem]]) -> tuple[Matrix, list[int]]:
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
+        swap = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if swap is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        mat[r], mat[swap] = mat[swap], mat[r]
         inv = mat[r][col].inv()
         mat[r] = [entry * inv for entry in mat[r]]
         for i in range(len(mat)):
@@ -51,14 +51,9 @@ def rank(rows: Sequence[Sequence[FieldElem]]) -> int:
 
 
 def solve_in_span(vectors: Sequence[Sequence[FieldElem]],
-                  target: Sequence[FieldElem]
-                  ) -> tuple[list[FieldElem] | None, int | None]:
-    """Express target as a combination of the given coordinate vectors.
-
-    Returns (coefficients, None) when target lies in the span, else
-    (None, pivot_row) where pivot_row indexes the echelon row whose pivot
-    sits in the target column, witnessing the rank jump.
-    """
+                  target: Sequence[FieldElem]) -> list[FieldElem] | None:
+    """The coefficients that combine target from the given coordinate
+    vectors, or None when target is not in their span."""
     dim = len(target)
     for v in vectors:
         if len(v) != dim:
@@ -67,11 +62,11 @@ def solve_in_span(vectors: Sequence[Sequence[FieldElem]],
                  for i in range(dim)]
     mat, pivots = echelon(augmented)
     if len(vectors) in pivots:
-        return None, pivots.index(len(vectors))
+        return None
     coeffs = [ZERO] * len(vectors)
     for row_index, col in enumerate(pivots):
         coeffs[col] = mat[row_index][len(vectors)]
-    return coeffs, None
+    return coeffs
 
 
 def invert(rows: Sequence[Sequence[FieldElem]]) -> Matrix:

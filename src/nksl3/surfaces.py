@@ -227,10 +227,9 @@ def sff(kbasis: Sequence[MVec], x: MVec, y: MVec) -> MVec:
     span.  It is zero on X, JX of every J-plane ([X, JX]_m = 0), so it
     cannot tell J-planes apart, and `certify` does not use it."""
     vectors = [list(k.coeffs) for k in kbasis]
-    for w in (x, y):
-        coeffs, _ = linalg.solve_in_span(vectors, list(w.coeffs))
-        if coeffs is None:
-            raise ValueError("sff arguments must lie in span(kbasis)")
+    if any(linalg.solve_in_span(vectors, list(w.coeffs)) is None
+           for w in (x, y)):
+        raise ValueError("sff arguments must lie in span(kbasis)")
     gram = [[metric(ki, kj) for kj in kbasis] for ki in kbasis]
     try:
         inverse = linalg.invert(gram)

@@ -96,8 +96,9 @@ def test_in_span_decision_variants():
     miss = in_span(_e(3), _e(1), _e(2))
     assert not miss.in_span
     assert miss.coefficients is None
-    assert miss.pivot_row is not None
-    assert "rank 3" in miss.witness()
+    # the verdict is derived from the coefficients, not stored beside them
+    assert [f.name for f in dataclasses.fields(miss)] == ["value",
+                                                          "coefficients"]
 
 
 def test_tangency_verdicts():
@@ -141,7 +142,8 @@ def test_span_decision_carries_the_tested_value():
         value = curvature(x, jx, jx)
         result = tangency_test(candidate)
         assert result.value == value, candidate.label()
-        assert result.witness() == in_span(value, x, jx).witness(), candidate.label()
+        assert result.coefficients == in_span(value, x, jx).coefficients, \
+            candidate.label()
 
 
 def test_case2_value_is_the_expected_combination():
@@ -152,17 +154,20 @@ def test_case2_value_is_the_expected_combination():
 
 
 def test_case2_elimination_reports():
-    reports = eliminate_case2()
-    assert len(reports) == 4
-    assert all(r.eliminated for r in reports)
-    by_key = {(r.epsilon, r.representative): r for r in reports}
-    direct = by_key[(1, "m1+m3")]
-    assert direct.vector == _e(1) + _e(5)
+    decisions = eliminate_case2()
+    assert list(decisions) == [(-1, "m1+m3"), (-1, "m1+m2 (dphi image)"),
+                               (1, "m1+m3"), (1, "m1+m2 (dphi image)")]
+    assert not any(d.in_span for d in decisions.values())
+    x = CaseCandidate(2, epsilon=1).vector()
+    direct = decisions[1, "m1+m3"]
+    assert x == _e(1) + _e(5)
     assert direct.value == _e(1) * (-4) + _e(5) * 2
-    image = by_key[(1, "m1+m2 (dphi image)")]
-    assert image.vector == dphi(direct.vector)
-    assert image.vector == -_e(1) + _e(3)
+    image = decisions[1, "m1+m2 (dphi image)"]
+    assert dphi(x) == -_e(1) + _e(3)
     assert image.value == _e(1) * 4 + _e(3) * 2
+    for vector, decision in ((x, direct), (dphi(x), image)):
+        jx = J.apply(vector)
+        assert decision == in_span(curvature(vector, jx, jx), vector, jx)
 
 
 def test_case2_image_value_is_dphi_of_value():
@@ -545,9 +550,11 @@ def test_grid_spec_refuses_grids_above_the_cap():
     for grid in ("0:1000:1/50,-2500:2500:1/2", "0:1e30:1,0:1:1"):
         with pytest.raises(ValueError, match="above the cap"):
             GridSpec.parse(grid)
-    assert GridSpec(Fraction(0), Fraction(1000), Fraction(1, 50),
-                    Fraction(-2500), Fraction(2500),
-                    Fraction(1, 2)).cells() == 2 * 50_000 * 10_001
+    # the cap is the grid's own, so a grid built directly is refused too;
+    # it has 2 · 50,000 · 10,001 cells
+    with pytest.raises(ValueError, match="1000100000 cells, above the cap"):
+        GridSpec(Fraction(0), Fraction(1000), Fraction(1, 50),
+                 Fraction(-2500), Fraction(2500), Fraction(1, 2))
 
 
 def test_match_survivors():
@@ -701,11 +708,13 @@ def test_kernel_is_ring_generic():
         assert tangency_test(candidate).in_span
         assert classify._in_plane(candidate.vector().coeffs), \
             candidate.label()
-    reports = eliminate_case2()
-    assert len(reports) == 4
-    for report in reports:
-        assert classify._in_plane(report.vector.coeffs) \
-            == (not report.eliminated), report.representative
+    decisions = eliminate_case2()
+    assert len(decisions) == 4
+    for epsilon in (-1, 1):
+        x = CaseCandidate(2, epsilon=epsilon).vector()
+        for name, vector in (("m1+m3", x), ("m1+m2 (dphi image)", dphi(x))):
+            assert classify._in_plane(vector.coeffs) \
+                == decisions[epsilon, name].in_span, name
     rng = random.Random(RNG_SEED + 6)
     point = claimed_case4_point()
     for _ in range(10):

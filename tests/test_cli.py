@@ -15,6 +15,7 @@ import re
 import string
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import nksl3
 from nksl3 import classify, cli, exactfield, liealg, nkgeom, surfaces
 from nksl3.exactfield import ONE, FieldElem
 from nksl3.liealg import MVec
-from nksl3.classify import GridSpec
+from nksl3.classify import CaseCandidate, GridSpec
 
 COARSE_GRID = "0:1:1/2,-1:1:1/2"
 GOLDEN_ALL = pathlib.Path(__file__).parent / "data" / "all_seed0.json"
@@ -49,6 +50,19 @@ def test_spec_validation():
         cli.SuiteSpec("field", tol=0.0)
     with pytest.raises(ValueError):
         cli.SuiteSpec("field", samples=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": True}, {"seed": False}, {"samples": 2.0}, {"seed": "0"},
+    {"tol": True}, {"tol": "1e-8"}, {"tol": Fraction(1, 10)},
+], ids=["samples_bool", "seed_bool", "samples_float", "seed_str",
+        "tol_bool", "tol_str", "tol_fraction"])
+def test_spec_refuses_bad_types(kwargs):
+    # a bool would print as True or False in the witness, and a float
+    # sample count would fail every field check with a TypeError
+    with pytest.raises(TypeError):
+        cli.SuiteSpec("field", **kwargs)
+    assert cli.SuiteSpec("field", tol=1, samples=2, seed=-3).tol == 1
 
 
 def test_every_suite_is_green():
@@ -563,7 +577,7 @@ def test_case1_check_fails_on_a_refuted_candidate(monkeypatch, mutate,
     if mutate == "tangency":
         original = cli.tangency_test
         monkeypatch.setattr(cli, "tangency_test", lambda candidate:
-                            dataclasses.replace(original(candidate), in_span=False))
+                            dataclasses.replace(original(candidate), coefficients=None))
     else:
         original = classify.CaseCandidate.expected_norm
         monkeypatch.setattr(classify.CaseCandidate, "expected_norm",
@@ -571,6 +585,27 @@ def test_case1_check_fails_on_a_refuted_candidate(monkeypatch, mutate,
     records = {r.name: r for r in cli.run(_spec("classify")).checks}
     assert not records["classify.case1"].passed
     assert records["classify.case1"].witness == witness
+
+
+_CASE2_WITNESS = (
+    "eps=-1 (m1+m3): R(X,JX)JX = 4e1 + 2e5 leaves span{X, JX}; "
+    "eps=-1 (m1+m2 (dphi image)): R(X,JX)JX = -4e1 + 2e3 leaves span{X, JX}; "
+    "eps=+1 (m1+m3): R(X,JX)JX = -4e1 + 2e5 leaves span{X, JX}; "
+    "eps=+1 (m1+m2 (dphi image)): R(X,JX)JX = 4e1 + 2e3 leaves span{X, JX}")
+
+
+def test_case2_check_witnesses(monkeypatch):
+    records = {r.name: r for r in cli.run(cli.SuiteSpec("classify")).checks}
+    assert records["classify.case2_eliminated"].passed
+    assert records["classify.case2_eliminated"].witness == _CASE2_WITNESS
+    # send the ε = +1 image to e1, the case-1 vector, which is tangent
+    original, passing = classify.dphi, CaseCandidate(2, epsilon=1).vector()
+    monkeypatch.setattr(classify, "dphi", lambda x: MVec.basis(1)
+                        if x == passing else original(x))
+    records = {r.name: r for r in cli.run(_spec("classify")).checks}
+    assert not records["classify.case2_eliminated"].passed
+    assert records["classify.case2_eliminated"].witness \
+        == "a mixed-block candidate passed the tangency test"
 
 
 @pytest.mark.parametrize("change, witness", [

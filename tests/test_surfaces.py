@@ -312,7 +312,7 @@ def _closed_under_bracket(span):
     span, viewed inside the full algebra."""
     vectors = [list(v.to_full().coeffs) for v in span]
     return all(linalg.solve_in_span(vectors,
-                                    list(coeff_bracket(a, b).coeffs))[0]
+                                    list(coeff_bracket(a, b).coeffs))
                is not None
                for i, a in enumerate(span) for b in span[i + 1:])
 
@@ -335,7 +335,7 @@ def _family_and_seeded_spans():
 
 
 def _in_span(rows, vector):
-    return linalg.solve_in_span(rows, list(vector.coeffs))[0] is not None
+    return linalg.solve_in_span(rows, list(vector.coeffs)) is not None
 
 
 def test_generated_basis_is_independent_and_closed():
